@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import ensemble
-from ._threads import ordered_map
 from .averaging import Spectrum
 from .errors import InputError
 
@@ -111,8 +110,7 @@ def convergence_scan(
     """Exact finite-M free energy and marginals against the limit laws.
 
     Each M runs independently through the class pipeline (n evolution steps
-    from the product state); results merge in input order, so the report is
-    deterministic under any worker count.
+    from the product state), in input order.
     """
     if n < 1:
         raise InputError("convergence scan needs n >= 1")
@@ -128,7 +126,7 @@ def convergence_scan(
             state = ensemble.evolve_step(state, spectrum, beta)
         return ensemble.specific_free_energy(state, beta), ensemble.marginals(state)
 
-    results = ordered_map(run_one, list(M_list))
+    results = [run_one(M) for M in M_list]
     F_exact = np.array([r[0] for r in results])
     w_exact = np.stack([r[1] for r in results])
     return LimitReport(

@@ -419,9 +419,11 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
         raise InputError("seed level out of range")
     lam = levels.as_array()
     ground = levels.ground
-    nu = np.delete(lam - lam[l] + levels.V, l)
+    nu = lam - lam[l] + levels.V  # nu[l] = V > 0
     if np.any(nu <= 0):
-        raise BranchNotFound("branch does not exist")
+        n = int(np.argmax(nu <= 0))
+        raise BranchNotFound(f"branch seeded at level {l} does not exist: "
+                             f"lambda_{n} - lambda_{l} + V = {nu[n]:.12g} <= 0")
 
     mstar = _mstar(levels, theta)
     if mstar >= 1.0:
@@ -606,9 +608,12 @@ class ContinuationResult:
 
 def _branch_alive(levels: LevelSet, theta: float, l: int,
                   hint: float | None) -> BranchState | None:
+    # an inadmissible seed does not depend on theta, so its cause propagates
     try:
         st = solve_branch(levels, theta, l, hint=hint)
-    except (BranchTerminated, SolverError):
+    except BranchNotFound:
+        raise
+    except SolverError:
         return None
     if st.margin <= 0 or not st.stable:
         return None

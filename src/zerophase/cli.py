@@ -20,14 +20,13 @@ Conventions shared by all subcommands:
     occupies stdout.
   * exit 0 on success, 2 on bad input, 3 when a solver or guard gives up.
   * outputs depend only on the scenario; reruns are byte-identical.
-    ZEROPHASE_THREADS caps internal parallelism without changing results.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 

@@ -25,14 +25,13 @@ log-Gamma and the entropy sign selectable between the free-energy form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from ._threads import ordered_map
 from .errors import GuardExceeded, InputError
 
 SOCIAL_SCAN_GUARD = 5000
@@ -324,10 +323,7 @@ def social_explosion_scan(eco: TwoLevelEconomy,
     s = _log_multiplicity(eco)
     sign = -1.0 if eco.sign_convention == "minus" else 1.0
 
-    def minimize(T: float) -> int:
-        return int(np.argmin(e + sign * T * s))
-
-    mins = list(ordered_map(minimize, [float(T) for T in Ts]))
+    mins = [int(np.argmin(e + sign * T * s)) for T in Ts]
     T_star = None
     jump_size = 0
     outburst = None

@@ -26,7 +26,6 @@ definitions literally and certifies the class reduction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence

@@ -12,14 +12,13 @@ stencil error.  Price observables ride along ascent trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import logsumexp
 
-from ._threads import ordered_map, thread_cap
 from .errors import InputError
 
 _BOUNDARIES = ("clamped", "periodic")
@@ -179,13 +178,33 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
 
 
 # ---------------------------------------------------------------------------
-# Hopf-Lax evolution by exhaustive node scan
+# Hopf-Lax evolution by exact per-axis node scans
+#
+# The kernel (x-xi)^2/(2t) is a sum of per-axis terms, so every transform
+# below is a sequence of exhaustive 1-d scans, one per grid axis; over the
+# whole grid this is exact (Felzenszwalb & Huttenlocher, "Distance
+# Transforms of Sampled Functions", Theory of Computing 8, 2012).
 
 
-def _pairwise_sq(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    # squared distances between row sets, shape (len(xa), len(xb))
-    diff = xa[:, None, :] - xb[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, terms: Callable,
+               reduce: Callable) -> np.ndarray:
+    """Reduce terms(V_j, x_i, x_j) over the nodes x_j of one grid axis.
+
+    axis counts from the end, so V and the reduction may carry leading
+    stacked components.  terms gets V with the scanned axis last and a new
+    output-node axis before it, a chunk of output nodes x_i as a column and
+    all nodes x_j as a row; reduce collapses the last axis.  Chunks keep
+    each block of terms near 4e6 elements.  terms should build (x_i - x_j)^2
+    inside one expression, so numpy reuses that temporary in place and no
+    extra chunk-sized array is alive while reduce runs.
+    """
+    Vm = np.moveaxis(V, axis, -1)[..., None, :]
+    n = x.size
+    rows = max(1, min(n, int(4e6) // Vm.size))
+    out = np.concatenate(
+        [reduce(terms(Vm, x[s:s + rows, None], x[None, :]))
+         for s in range(0, n, rows)], axis=-1)
+    return np.moveaxis(out, -1, axis)
 
 
 def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
@@ -194,27 +213,21 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     mode "max" is the ascent form max_xi [H0(xi) - (x-xi)^2/(2t)], which can
     only raise the field (take xi = x); mode "min" is the literal
     inf-convolution min_xi [(x-xi)^2/(2t) + H0(xi)], which can only lower
-    it.  Both scan every grid node exactly, in deterministic chunks.
+    it.  Both scan every grid node exactly, one axis at a time.
     """
     if t <= 0:
         raise InputError("t must be positive")
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
-    nodes = field0.nodes()
-    vals = field0.H.ravel()
-    n = nodes.shape[0]
-    chunk = max(1, min(n, int(4e6) // max(n, 1)))
-    starts = list(range(0, n, chunk))
-
-    def block(s: int) -> np.ndarray:
-        d2 = _pairwise_sq(nodes[s:s + chunk], nodes) / (2.0 * t)
-        if mode == "max":
-            return np.max(vals[None, :] - d2, axis=1)
-        return np.min(vals[None, :] + d2, axis=1)
-
-    out = np.concatenate(list(ordered_map(block, starts)))
-    return EntropyField(origin=field0.origin, spacing=field0.spacing,
-                        H=out.reshape(field0.shape))
+    if mode == "max":
+        terms, reduce = lambda v, xi, xj: v - (xi - xj) ** 2 / (2.0 * t), np.max
+    else:
+        terms, reduce = lambda v, xi, xj: v + (xi - xj) ** 2 / (2.0 * t), np.min
+    H = field0.H
+    for d, x in enumerate(field0.axes()):
+        H = _axis_scan(H, x, d - field0.ndim, terms,
+                       lambda a: reduce(a, axis=-1))
+    return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 
 def log_gaussian_smoothing(field0: EntropyField, t: float,
@@ -230,21 +243,14 @@ def log_gaussian_smoothing(field0: EntropyField, t: float,
         k = field0.ndim
     if k != field0.ndim:
         raise InputError("k must equal the field dimension")
-    nodes = field0.nodes()
-    vals = field0.H.ravel()
     log_hk = float(np.sum(np.log(field0.spacing)))
-    n = nodes.shape[0]
-    chunk = max(1, min(n, int(4e6) // max(n, 1)))
-    starts = list(range(0, n, chunk))
-
-    def block(s: int) -> np.ndarray:
-        expo = vals[None, :] - _pairwise_sq(nodes[s:s + chunk], nodes) / (2.0 * t)
-        return logsumexp(expo, axis=1)
-
-    out = np.concatenate(list(ordered_map(block, starts)))
-    out += log_hk - 0.5 * k * math.log(t)
-    return EntropyField(origin=field0.origin, spacing=field0.spacing,
-                        H=out.reshape(field0.shape))
+    H = field0.H
+    for d, x in enumerate(field0.axes()):
+        H = _axis_scan(H, x, d - k,
+                       lambda v, xi, xj: v - (xi - xj) ** 2 / (2.0 * t),
+                       lambda a: logsumexp(a, axis=-1))
+    H += log_hk - 0.5 * k * math.log(t)
+    return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 
 def heat_semigroup_residual(field0: EntropyField, t: float) -> float:
@@ -257,24 +263,37 @@ def heat_semigroup_residual(field0: EntropyField, t: float) -> float:
     """
     if t <= 0:
         raise InputError("t must be positive")
-    nodes = field0.nodes()
-    vals = field0.H.ravel()
     k = field0.ndim
     log_hk = float(np.sum(np.log(field0.spacing)))
-    n = nodes.shape[0]
-    chunk = max(1, min(n, int(4e6) // max(n, 1)))
-    starts = list(range(0, n, chunk))
 
-    def block(s: int) -> tuple:
-        d2 = _pairwise_sq(nodes[s:s + chunk], nodes)
-        w = np.exp(vals[None, :] - d2 / (2.0 * t) + log_hk)
-        u = np.sum(w, axis=1)
-        ut = np.sum(w * (d2 / (2.0 * t * t) - k / (2.0 * t)), axis=1)
-        return u, ut
+    # Each axis multiplies in its kernel factor and adds its own u_t term,
+    # w * d(ln kernel)/dt = w * (d^2/(2t^2) - 1/(2t)); the u_t of earlier
+    # axes rides along linearly.  The first axis starts from the log field.
+    def rate(w, sq):
+        return np.sum(w * (sq / (2.0 * t * t) - 1 / (2.0 * t)), axis=-1)
 
-    blocks = list(ordered_map(block, starts))
-    u = np.concatenate([b[0] for b in blocks]).reshape(field0.shape)
-    ut = np.concatenate([b[1] for b in blocks]).reshape(field0.shape)
+    def first_terms(v, xi, xj):
+        sq = (xi - xj) ** 2
+        return np.exp(v - sq / (2.0 * t) + log_hk), sq
+
+    def first_reduce(p):
+        w, sq = p
+        return np.stack((np.sum(w, axis=-1), rate(w, sq)))
+
+    def later_terms(v, xi, xj):
+        sq = (xi - xj) ** 2
+        return v * np.exp(-sq / (2.0 * t)), sq
+
+    def later_reduce(p):
+        w, sq = p
+        return np.stack((np.sum(w[0], axis=-1),
+                         np.sum(w[1], axis=-1) + rate(w[0], sq)))
+
+    axes = field0.axes()
+    u_ut = _axis_scan(field0.H, axes[0], -k, first_terms, first_reduce)
+    for d in range(1, k):
+        u_ut = _axis_scan(u_ut, axes[d], d - k, later_terms, later_reduce)
+    u, ut = u_ut
 
     lap = np.zeros_like(u)
     for d in range(k):

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: parsing, config, outputs, exit codes."""
 
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +194,33 @@ def test_csv_floats_use_twelve_significant_digits(capsys):
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert row[3] == "-0.47407698418"  # %.12g rendering of F_limit
+
+
+def test_inadmissible_branch_names_its_cause(capsys):
+    code, out, err = run_cli(capsys, "bose", "sweep", "--levels", "0,1",
+                             "--V", "1", "--g", "1", "--theta-points", "48")
+    assert code == 3
+    assert out == ""
+    assert "lambda_0 - lambda_1 + V = 0 <= 0" in err
+
+
+def _readme_blocks() -> list:
+    """(language, text) of each fenced block in README.md's CLI section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    return re.findall(r"^```(\w+)\n(.*?)^```", cli_section, re.M | re.S)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    blocks = _readme_blocks()
+    files = {"ini": "sweep.cfg", "text": "positions.txt"}
+    for lang, text in blocks:
+        if lang in files:
+            (tmp_path / files[lang]).write_text(text)
+    commands = [shlex.split(line)[1:] for lang, text in blocks if lang == "sh"
+                for line in text.splitlines() if line.startswith("zerophase ")]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -2,8 +2,12 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from zerophase.entropy_flow import (EntropyField, FlowConfig, ascent_trajectory,
                                     calibrate_c, heat_semigroup_residual,
@@ -175,3 +179,101 @@ def test_calibration_rejects_insensitive_point():
     price = EntropyField.from_function(lambda x: np.sin(x), (-1.0,), (spacing,), (n,))
     with pytest.raises(InputError):
         calibrate_c(0.1, field, price, (0.0,))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive pairwise oracle for the per-axis envelope scans
+
+
+def _pairwise_sq(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    # squared distances between row sets, shape (len(xa), len(xb))
+    diff = xa[:, None, :] - xb[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def _oracle(field0: EntropyField, t: float) -> dict:
+    """All four transforms by one scan over every pair of grid nodes."""
+    nodes = field0.nodes()
+    vals = field0.H.ravel()
+    k = field0.ndim
+    log_hk = float(np.sum(np.log(field0.spacing)))
+    d2 = _pairwise_sq(nodes, nodes)
+    out = {
+        "max": np.max(vals[None, :] - d2 / (2.0 * t), axis=1),
+        "min": np.min(vals[None, :] + d2 / (2.0 * t), axis=1),
+        "smooth": logsumexp(vals[None, :] - d2 / (2.0 * t), axis=1)
+        + (log_hk - 0.5 * k * math.log(t)),
+    }
+    out = {key: v.reshape(field0.shape) for key, v in out.items()}
+    w = np.exp(vals[None, :] - d2 / (2.0 * t) + log_hk)
+    u = np.sum(w, axis=1).reshape(field0.shape)
+    ut = np.sum(w * (d2 / (2.0 * t * t) - k / (2.0 * t)), axis=1
+                ).reshape(field0.shape)
+    lap = np.zeros_like(u)
+    for d in range(k):
+        h = field0.spacing[d]
+        mid = [slice(None)] * k
+        lo, hi = list(mid), list(mid)
+        mid[d], lo[d], hi[d] = slice(1, -1), slice(0, -2), slice(2, None)
+        lap[tuple(mid)] += (u[tuple(hi)] - 2.0 * u[tuple(mid)]
+                            + u[tuple(lo)]) / (h * h)
+    interior = (slice(1, -1),) * k
+    out["heat"] = float(np.max(np.abs(ut[interior] - 0.5 * lap[interior])))
+    # the residual is a difference of terms of size u/h^2, so two summation
+    # orders may differ by a few ulps of that size
+    out["heat_noise"] = 8.0 * np.finfo(float).eps * float(u.max()) * sum(
+        h ** -2 for h in field0.spacing)
+    return out
+
+
+def _transforms(field0: EntropyField, t: float) -> dict:
+    return {"max": hopf_lax(field0, t, "max").H,
+            "min": hopf_lax(field0, t, "min").H,
+            "smooth": log_gaussian_smoothing(field0, t).H,
+            "heat": heat_semigroup_residual(field0, t)}
+
+
+def test_multi_chunk_scan_equals_pairwise_oracle():
+    # 2100 nodes: the scan splits its output nodes into two chunks
+    H = np.random.default_rng(5).uniform(-5.0, 5.0, 2100)
+    field0 = EntropyField((-1.0,), (1e-3,), H)
+    want = _oracle(field0, 0.1)
+    got = _transforms(field0, 0.1)
+    for key in ("max", "min", "smooth"):
+        assert np.array_equal(got[key], want[key]), key
+    assert got["heat"] == want["heat"]
+
+
+_values = st.floats(-5.0, 5.0)
+_times = st.floats(1e-3, 10.0)
+_spacings = st.floats(0.05, 1.0)
+_origins = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 300), t=_times)
+def test_per_axis_scans_equal_pairwise_oracle_1d(data, n, t):
+    H = data.draw(hnp.arrays(float, n, elements=_values))
+    field0 = EntropyField((data.draw(_origins),), (data.draw(_spacings),), H)
+    want = _oracle(field0, t)
+    got = _transforms(field0, t)
+    for key in ("max", "min", "smooth"):
+        assert np.array_equal(got[key], want[key]), key
+    assert got["heat"] == want["heat"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(3, 25), st.integers(3, 25)),
+       t=_times)
+def test_per_axis_scans_match_pairwise_oracle_2d(data, shape, t):
+    H = data.draw(hnp.arrays(float, shape, elements=_values))
+    origin = (data.draw(_origins), data.draw(_origins))
+    spacing = (data.draw(_spacings), data.draw(_spacings))
+    field0 = EntropyField(origin, spacing, H)
+    want = _oracle(field0, t)
+    got = _transforms(field0, t)
+    for key in ("max", "min", "smooth"):
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12,
+                                   err_msg=key)
+    np.testing.assert_allclose(got["heat"], want["heat"], rtol=1e-9,
+                               atol=want["heat_noise"])
