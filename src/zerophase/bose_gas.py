@@ -197,11 +197,8 @@ def free_energy(levels: LevelSet, m: Sequence[float], theta: float) -> float:
     m = _check_fractions(np.asarray(m, dtype=float), levels.size)
     if theta < 0:
         raise InputError("theta must be nonnegative")
-    lam = levels.as_array()
-    g = levels.g
-    energy = lam @ m - 0.5 * levels.V * np.sum(m * m)
-    entropy = np.sum((g + m) * np.log1p(m / g) - m * np.log(m / g))
-    return float(energy - theta * entropy)
+    energy = levels.as_array() @ m - 0.5 * levels.V * np.sum(m * m)
+    return float(energy - theta * specific_entropy(levels, m))
 
 
 def specific_entropy(levels: LevelSet, m: Sequence[float]) -> float:
@@ -377,6 +374,25 @@ def _gas_solution(levels: LevelSet, theta: float, mstar: float) -> tuple[np.ndar
     return m, float(mu)
 
 
+@dataclass(frozen=True)
+class StabilityReport:
+    alphas: tuple
+    stable: bool
+    margin: float
+
+
+def _stability(levels: LevelSet, theta: float, l: int,
+               m: np.ndarray) -> StabilityReport:
+    alphas = _alpha(levels, theta, m)
+    others = np.delete(alphas, l)
+    stable = bool(np.all(others > 0) and alphas[l] < 0
+                  and (-np.sum(alphas[l] / others)) < 1.0)
+    with np.errstate(divide="ignore"):
+        margin = float(1.0 + np.sum(alphas[l] / others))
+    return StabilityReport(alphas=tuple(float(a) for a in alphas),
+                           stable=stable, margin=margin)
+
+
 def _finalize_state(levels: LevelSet, theta: float, l: int, m: np.ndarray,
                     mu: float) -> BranchState:
     lam = levels.as_array()
@@ -385,18 +401,13 @@ def _finalize_state(levels: LevelSet, theta: float, l: int, m: np.ndarray,
     resid = max(float(resid), abs(float(m.sum()) - 1.0))
     if resid > RESIDUAL_TOL:
         raise SolverError(f"branch residual {resid:.3e} exceeds tolerance")
-    alphas = _alpha(levels, theta, m)
-    others = np.delete(alphas, l)
-    stable = bool(np.all(others > 0) and alphas[l] < 0
-                  and (-np.sum(alphas[l] / others)) < 1.0)
-    with np.errstate(divide="ignore"):
-        margin = float(1.0 + np.sum(alphas[l] / others))
+    st = _stability(levels, theta, l, m)
     f = free_energy(levels, m, theta)
     s = specific_entropy(levels, m)
     return BranchState(l=int(l), theta=float(theta),
                        m=tuple(float(v) for v in m), mu=float(mu),
-                       alphas=tuple(float(a) for a in alphas),
-                       stable=stable, margin=margin, f=float(f), s=float(s))
+                       alphas=st.alphas, stable=st.stable, margin=st.margin,
+                       f=float(f), s=float(s))
 
 
 def solve_branch(levels: LevelSet, theta: float, l: int,
@@ -571,13 +582,6 @@ def hartree_residual(branch: BranchState, levels: LevelSet) -> float:
     return float(max(np.max(np.abs(m - pred)), abs(m.sum() - 1.0)))
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    alphas: tuple
-    stable: bool
-    margin: float
-
-
 def stability_check(branch: BranchState, levels: LevelSet) -> StabilityReport:
     """Second-variation test of the branch: signs of alpha and the margin.
 
@@ -585,15 +589,7 @@ def stability_check(branch: BranchState, levels: LevelSet) -> StabilityReport:
     -sum alpha_l/alpha_n < 1; margin = 1 + sum alpha_l/alpha_n hits zero at
     the critical temperature.
     """
-    m = branch.m_array()
-    alphas = _alpha(levels, branch.theta, m)
-    others = np.delete(alphas, branch.l)
-    stable = bool(np.all(others > 0) and alphas[branch.l] < 0
-                  and -np.sum(alphas[branch.l] / others) < 1.0)
-    with np.errstate(divide="ignore"):
-        margin = float(1.0 + np.sum(alphas[branch.l] / others))
-    return StabilityReport(alphas=tuple(float(a) for a in alphas),
-                           stable=stable, margin=margin)
+    return _stability(levels, branch.theta, branch.l, branch.m_array())
 
 
 # ---------------------------------------------------------------------------

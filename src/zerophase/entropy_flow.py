@@ -119,15 +119,11 @@ def _gradient_arrays(field: EntropyField, boundary: str) -> list:
     return [g] if field.ndim == 1 else list(g)
 
 
-def _interpolators(field: EntropyField, boundary: str):
-    axes = field.axes()
-    grads = _gradient_arrays(field, boundary)
-    ih = RegularGridInterpolator(axes, field.H, method="linear",
-                                 bounds_error=False, fill_value=None)
-    igs = [RegularGridInterpolator(axes, g, method="linear",
+def _sampler(field: EntropyField, boundary: str) -> RegularGridInterpolator:
+    """Linear interpolant of (H, dH/dx_1, ..., dH/dx_k): one call, one row."""
+    values = np.stack([field.H, *_gradient_arrays(field, boundary)], axis=-1)
+    return RegularGridInterpolator(field.axes(), values, method="linear",
                                    bounds_error=False, fill_value=None)
-           for g in grads]
-    return ih, igs
 
 
 def _wrap(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -155,24 +151,25 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
     lo, hi = field.box()
     if np.any(x < lo) or np.any(x > hi):
         raise InputError("x0 must lie inside the sampled box")
-    ih, igs = _interpolators(field, config.boundary)
+    sample = _sampler(field, config.boundary)
+    row = sample(x)[0]
     pts = [x.copy()]
-    hv = [float(ih(x)[0])]
+    hv = [float(row[0])]
     exited = False
     for _ in range(config.steps):
-        grad = np.array([float(gi(x)[0]) for gi in igs])
         c = float(config.c_of_H(hv[-1]))
         if c <= 0:
             raise InputError("c_of_H must be positive on the field's range")
-        x_new = x + config.dt * c * grad
+        x_new = x + config.dt * c * row[1:]
         if config.boundary == "periodic":
             x_new = _wrap(x_new, lo, hi)
         elif np.any(x_new < lo) or np.any(x_new > hi):
             exited = True
             break
         x = x_new
+        row = sample(x)[0]
         pts.append(x.copy())
-        hv.append(float(ih(x)[0]))
+        hv.append(float(row[0]))
     return Trajectory(points=np.array(pts), H_values=np.array(hv),
                       exited=exited)
 
@@ -194,13 +191,16 @@ def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, terms: Callable,
     stacked components.  terms gets V with the scanned axis last and a new
     output-node axis before it, a chunk of output nodes x_i as a column and
     all nodes x_j as a row; reduce collapses the last axis.  Chunks keep
-    each block of terms near 4e6 elements.  terms should build (x_i - x_j)^2
+    each block of terms near 1e6 elements (8 MB); every output row is
+    reduced on its own, so the result does not depend on the chunking, and
+    small blocks bound the peak memory of reductions that hold several
+    block-sized copies (logsumexp does).  terms should build (x_i - x_j)^2
     inside one expression, so numpy reuses that temporary in place and no
     extra chunk-sized array is alive while reduce runs.
     """
     Vm = np.moveaxis(V, axis, -1)[..., None, :]
     n = x.size
-    rows = max(1, min(n, int(4e6) // Vm.size))
+    rows = max(1, min(n, int(1e6) // Vm.size))
     out = np.concatenate(
         [reduce(terms(Vm, x[s:s + rows, None], x[None, :]))
          for s in range(0, n, rows)], axis=-1)
@@ -332,28 +332,18 @@ def price_transport(field: EntropyField, config: FlowConfig,
                 or pf.spacing != field.spacing:
             raise InputError("price fields must share the entropy field's grid")
     traj = ascent_trajectory(field, config, x0)
-    ih, igs = _interpolators(field, config.boundary)
-    price_interp = []
-    for pf in price_fields:
-        pih, pigs = _interpolators(pf, config.boundary)
-        price_interp.append((pih, pigs))
-
     pts = traj.points
-    npts = pts.shape[0]
-    nprices = len(price_fields)
-    chain = np.empty((npts, nprices))
-    for j, (pih, _) in enumerate(price_interp):
-        chain[:, j] = pih(pts)
-
-    ode = np.empty_like(chain)
-    ode[0] = chain[0]
-    for i in range(npts - 1):
-        x = pts[i]
-        gradH = np.array([float(gi(x)[0]) for gi in igs])
-        c = float(config.c_of_H(float(ih(x)[0])))
-        for j, (_, pigs) in enumerate(price_interp):
-            gradL = np.array([float(gi(x)[0]) for gi in pigs])
-            ode[i + 1, j] = ode[i, j] + config.dt * c * float(gradL @ gradH)
+    grad_h = _sampler(field, config.boundary)(pts)[:, 1:]
+    # (price, point, [lambda, grad lambda]); reshape keeps an empty list 3-d
+    prices = np.array([_sampler(pf, config.boundary)(pts)
+                       for pf in price_fields]
+                      ).reshape(len(price_fields), len(pts), 1 + field.ndim)
+    chain = prices[..., 0].T
+    c = np.array([float(config.c_of_H(h)) for h in traj.H_values[:-1]])
+    drift = np.sum(prices[:, :-1, 1:] * grad_h[:-1], axis=-1).T
+    # the same sequential Euler sum as the trajectory's steps
+    ode = np.cumsum(np.vstack([chain[:1], config.dt * c[:, None] * drift]),
+                    axis=0)
     return PriceTransport(trajectory=traj, ode_route=ode, chain_route=chain)
 
 
@@ -365,11 +355,9 @@ def calibrate_c(dlambda_dt: float, field: EntropyField,
     c = (d lambda/dt) / (grad lambda . grad H); an orthogonal or vanishing
     gradient pairing leaves c undetermined and raises.
     """
-    _, igs = _interpolators(field, boundary)
-    _, pigs = _interpolators(price_field, boundary)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    gradH = np.array([float(gi(xv)[0]) for gi in igs])
-    gradL = np.array([float(gi(xv)[0]) for gi in pigs])
+    gradH = _sampler(field, boundary)(xv)[0, 1:]
+    gradL = _sampler(price_field, boundary)(xv)[0, 1:]
     denom = float(gradL @ gradH)
     if abs(denom) < 1e-14:
         raise InputError("price insensitive to entropy gradient at x")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: parsing, config, outputs, exit codes."""
 
+import importlib.util
 import re
 import shlex
 import subprocess
@@ -29,6 +30,13 @@ def test_spectrum_check_reports_witness(capsys):
                            "--bound", "2")
     assert code == 0
     assert "witness = 1,-2,1" in out
+
+
+def test_spectrum_check_without_relation_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "check", "--lambda", "0,1,3.7",
+                           "--bound", "2")
+    assert code == 0
+    assert out.strip() == "resonance-free within bound 2: yes"
 
 
 def test_evolve_worked_example(capsys):
@@ -224,3 +232,26 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded by path; nothing under bench/ is written."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_cli_outputs_match_reference(tmp_path, monkeypatch):
+    # the benchmark's own comparison: exit codes, and numbers to 1e-9
+    workloads = _bench_workloads(monkeypatch)
+    reference = workloads.load_reference()["cli"]
+    monkeypatch.chdir(tmp_path)
+    for name, argv in workloads.README_COMMANDS.items():
+        ref = reference[name]
+        res = workloads.inprocess_cli(argv)
+        assert res.code == ref["code"], name
+        workloads.compare_output(ref["stdout"], res.stdout, ref["csv"])

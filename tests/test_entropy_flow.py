@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 from scipy.special import logsumexp
 
-from zerophase.entropy_flow import (EntropyField, FlowConfig, ascent_trajectory,
+from zerophase.entropy_flow import (EntropyField, FlowConfig,
+                                    _gradient_arrays, ascent_trajectory,
                                     calibrate_c, heat_semigroup_residual,
                                     hopf_lax, log_gaussian_smoothing,
                                     price_transport)
@@ -234,7 +236,7 @@ def _transforms(field0: EntropyField, t: float) -> dict:
 
 
 def test_multi_chunk_scan_equals_pairwise_oracle():
-    # 2100 nodes: the scan splits its output nodes into two chunks
+    # 2100 nodes: the scan splits its output nodes into five chunks
     H = np.random.default_rng(5).uniform(-5.0, 5.0, 2100)
     field0 = EntropyField((-1.0,), (1e-3,), H)
     want = _oracle(field0, 0.1)
@@ -277,3 +279,153 @@ def test_per_axis_scans_match_pairwise_oracle_2d(data, shape, t):
                                    err_msg=key)
     np.testing.assert_allclose(got["heat"], want["heat"], rtol=1e-9,
                                atol=want["heat_noise"])
+
+
+# ---------------------------------------------------------------------------
+# per-point oracle for ascent, price transport and calibration: one
+# interpolator per component, read one point at a time
+
+
+def _interpolators(field: EntropyField, boundary: str):
+    def interp(values):
+        return RegularGridInterpolator(field.axes(), values, method="linear",
+                                       bounds_error=False, fill_value=None)
+    return interp(field.H), [interp(g) for g in
+                             _gradient_arrays(field, boundary)]
+
+
+def _point_gradient(igs, x) -> np.ndarray:
+    return np.array([float(gi(x)[0]) for gi in igs])
+
+
+def _transport_oracle(field, config, price_fields, x0):
+    """(points, H values, exited, ODE route, chain route), step by step."""
+    ih, igs = _interpolators(field, config.boundary)
+    lo, hi = field.box()
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    pts, hv, exited = [x.copy()], [float(ih(x)[0])], False
+    for _ in range(config.steps):
+        c = float(config.c_of_H(hv[-1]))
+        x_new = x + config.dt * c * _point_gradient(igs, x)
+        if config.boundary == "periodic":
+            x_new = lo + np.mod(x_new - lo, hi - lo)
+        elif np.any(x_new < lo) or np.any(x_new > hi):
+            exited = True
+            break
+        x = x_new
+        pts.append(x.copy())
+        hv.append(float(ih(x)[0]))
+    pts = np.array(pts)
+    price_interp = [_interpolators(pf, config.boundary) for pf in price_fields]
+    chain = np.empty((len(pts), len(price_fields)))
+    for j, (pih, _) in enumerate(price_interp):
+        chain[:, j] = pih(pts)
+    ode = np.empty_like(chain)
+    ode[0] = chain[0]
+    for i in range(len(pts) - 1):
+        x = pts[i]
+        grad_h = _point_gradient(igs, x)
+        c = float(config.c_of_H(float(ih(x)[0])))
+        for j, (_, pigs) in enumerate(price_interp):
+            grad_l = _point_gradient(pigs, x)
+            ode[i + 1, j] = ode[i, j] + config.dt * c * float(grad_l @ grad_h)
+    return pts, np.array(hv), exited, ode, chain
+
+
+def _calibration_oracle(drift, field, price_field, x, boundary):
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    grad_h = _point_gradient(_interpolators(field, boundary)[1], xv)
+    grad_l = _point_gradient(_interpolators(price_field, boundary)[1], xv)
+    return float(drift) / float(grad_l @ grad_h)
+
+
+def _speed(h: float) -> float:
+    return 1.5 + math.sin(h)
+
+
+def _transport_case(ndim: int):
+    """An entropy field, two price fields, and a start, on [-1, 1]^ndim."""
+    n = 101 if ndim == 1 else 41
+    origin, spacing, shape = (-1.0,) * ndim, (2.0 / (n - 1),) * ndim, (n,) * ndim
+    if ndim == 1:
+        fns = (lambda x: np.sin(np.pi * x) + 0.1 * x,
+               lambda x: np.cos(2.0 * x) + x,
+               lambda x: x ** 3)
+        x0 = (-0.9,)
+    else:
+        fns = (lambda x, y: np.sin(np.pi * x) * np.cos(0.5 * y) + 0.2 * y,
+               lambda x, y: 0.7 * x + y * y,
+               lambda x, y: np.sin(1.3 * x) * y)
+        x0 = (-0.9, 0.3)
+    field, *prices = (EntropyField.from_function(f, origin, spacing, shape)
+                      for f in fns)
+    return field, prices, x0
+
+
+def _check_transport(ndim, config, price_fields=None, x0=None):
+    field, prices, start = _transport_case(ndim)
+    price_fields = prices if price_fields is None else price_fields
+    x0 = start if x0 is None else x0
+    got = price_transport(field, config, price_fields, x0)
+    traj = ascent_trajectory(field, config, x0)
+    pts, hv, exited, ode, chain = _transport_oracle(field, config,
+                                                    price_fields, x0)
+    pairs = ((traj.points, pts), (traj.H_values, hv),
+             (got.trajectory.points, pts), (got.ode_route, ode),
+             (got.chain_route, chain))
+    for a, b in pairs:
+        assert a.shape == b.shape
+        if ndim == 1:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+    assert traj.exited == got.trajectory.exited == exited
+    return got
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+def test_transport_matches_per_point_oracle(ndim, boundary):
+    config = FlowConfig(c_of_H=_speed, dt=2e-2, steps=150, boundary=boundary)
+    got = _check_transport(ndim, config)
+    first = got.trajectory.points[:, 0]
+    if boundary == "periodic":
+        # the walk from x = -0.9 runs left, wraps past x = -1 to the far
+        # side, and climbs to the crest near x = 0.5
+        assert not got.trajectory.exited
+        assert np.diff(first).max() > 1.5
+        assert abs(first[-1] - 0.5) < 0.05
+    else:
+        assert got.trajectory.exited
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_transport_without_prices(ndim):
+    config = FlowConfig(c_of_H=_speed, dt=1e-2, steps=40)
+    got = _check_transport(ndim, config, price_fields=())
+    npts = len(got.trajectory.points)
+    assert got.ode_route.shape == got.chain_route.shape == (npts, 0)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_transport_exit_on_first_step(ndim):
+    config = FlowConfig(c_of_H=_speed, dt=0.5, steps=10)
+    got = _check_transport(ndim, config, x0=(-0.99,) * ndim)
+    assert got.trajectory.exited and len(got.trajectory.points) == 1
+    assert got.ode_route.shape == (1, 2)
+    assert np.array_equal(got.ode_route, got.chain_route)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+def test_calibration_matches_per_point_oracle(ndim, boundary):
+    field, prices, _ = _transport_case(ndim)
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (12, ndim))
+    for x in points:
+        for price in prices:
+            got = calibrate_c(0.3, field, price, x, boundary)
+            want = _calibration_oracle(0.3, field, price, x, boundary)
+            if ndim == 1:
+                assert got == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14)
