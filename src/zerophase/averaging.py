@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import GuardExceeded, InputError
 
@@ -147,6 +146,7 @@ def financial_average(
         raise InputError("spectrum and weights must have equal length")
 
     if kernel.kind == "exponential":
+        from scipy.special import logsumexp
         beta = kernel.beta
         # log(sum p_i e^{-beta lam_i}) via logsumexp; zero weights drop out.
         total = logsumexp(-beta * lam, b=p)

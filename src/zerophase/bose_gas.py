@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .errors import BranchNotFound, BranchTerminated, InputError, SolverError
 
@@ -174,6 +172,7 @@ def log_multiplicity(levels: LevelSet, occupation: Sequence[int], N: int,
         G = max(1, int(round(levels.g * N)))
     if G < 1:
         raise InputError("G must be a positive integer")
+    from scipy.special import gammaln
     return float(np.sum(gammaln(G + occ) - gammaln(G) - gammaln(occ + 1.0)))
 
 
@@ -295,6 +294,7 @@ def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> fl
         lo *= 0.25
         if lo < 1e-320:
             raise SolverError("low-root bracketing failed")
+    from scipy.optimize import brentq
     m = brentq(lambda x: _phi00(levels, theta, x) - target, lo, hi,
                xtol=1e-300, rtol=8.9e-16, maxiter=200)
     # Newton polish; alpha is the exact derivative of phi00 here.
@@ -367,6 +367,7 @@ def _gas_solution(levels: LevelSet, theta: float, mstar: float) -> tuple[np.ndar
     mu_lo = mu_top - max(theta, 1.0)
     while total(mu_lo) > 1.0:
         mu_lo -= max(theta, 1.0)
+    from scipy.optimize import brentq
     mu = brentq(lambda u: total(u) - 1.0, mu_lo, mu_top,
                 xtol=1e-300, rtol=8.9e-16)
     m = np.array([_low_root(levels, theta, mu - lam[n], mstar)
@@ -436,6 +437,7 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
         raise BranchNotFound(f"branch seeded at level {l} does not exist: "
                              f"lambda_{n} - lambda_{l} + V = {nu[n]:.12g} <= 0")
 
+    from scipy.optimize import brentq
     mstar = _mstar(levels, theta)
     if mstar >= 1.0:
         if l != ground:

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .errors import GuardExceeded, InputError
 
@@ -199,6 +197,7 @@ def empirical_threshold_model(levels: ParetoLevels) -> Callable[[float], float]:
             lo *= 0.5
             if lo < 1e-300:
                 raise InputError("money supply out of the invertible range")
+        from scipy.optimize import brentq
         theta = brentq(lambda t: money_at_theta(levels, t) - M, lo, hi,
                        rtol=8.9e-16, maxiter=200)
         return critical_number(levels, theta)
@@ -278,6 +277,7 @@ def _energy_part(eco: TwoLevelEconomy) -> np.ndarray:
 
 
 def _log_multiplicity(eco: TwoLevelEconomy) -> np.ndarray:
+    from scipy.special import gammaln
     n1 = np.arange(eco.N + 1, dtype=float)
     n2 = eco.N - n1
     return (gammaln(n1 + eco.n1) - gammaln(eco.n1) - gammaln(n1 + 1.0)

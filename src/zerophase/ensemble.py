@@ -31,7 +31,6 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .averaging import Spectrum
 from .errors import GuardExceeded, InputError
@@ -56,6 +55,7 @@ def _class_layout(M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
             for rest in gen(remaining - first, slots - 1):
                 yield (first,) + rest
 
+    from scipy.special import gammaln
     occ = np.array(list(gen(M, l)), dtype=np.int64).reshape(-1, l)
     log_sizes = gammaln(M + 1) - gammaln(occ + 1).sum(axis=1)
     occ.setflags(write=False)
@@ -164,6 +164,7 @@ def closed_form_log_coeff(
     occ_arr = np.asarray(occ, dtype=np.int64)
     if occ_arr.sum() != M:
         raise InputError("occupation vector must sum to M")
+    from scipy.special import gammaln
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
         base = np.where(occ_arr > 0, occ_arr * log_g, 0.0).sum()
@@ -184,6 +185,7 @@ def closed_form_coeff(
 
 def log_state_norm(state: EnsembleState) -> float:
     """Log of the 1-norm: ln sum_classes c({M}) * class_size."""
+    from scipy.special import logsumexp
     _, log_sizes = _class_layout(state.M, state.l)
     return float(logsumexp(state.log_coeffs + log_sizes))
 
@@ -204,6 +206,7 @@ def marginals(state: EnsembleState) -> np.ndarray:
     log_norm = log_state_norm(state)
     if log_norm == -np.inf:
         raise InputError("zero norm state has no marginals")
+    from scipy.special import logsumexp
     a = state.log_coeffs + log_sizes
     out = np.empty(state.l)
     for i in range(state.l):

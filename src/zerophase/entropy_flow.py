@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.special import logsumexp
 
 from .errors import InputError
 
@@ -119,8 +117,9 @@ def _gradient_arrays(field: EntropyField, boundary: str) -> list:
     return [g] if field.ndim == 1 else list(g)
 
 
-def _sampler(field: EntropyField, boundary: str) -> RegularGridInterpolator:
+def _sampler(field: EntropyField, boundary: str):
     """Linear interpolant of (H, dH/dx_1, ..., dH/dx_k): one call, one row."""
+    from scipy.interpolate import RegularGridInterpolator
     values = np.stack([field.H, *_gradient_arrays(field, boundary)], axis=-1)
     return RegularGridInterpolator(field.axes(), values, method="linear",
                                    bounds_error=False, fill_value=None)
@@ -243,6 +242,7 @@ def log_gaussian_smoothing(field0: EntropyField, t: float,
         k = field0.ndim
     if k != field0.ndim:
         raise InputError("k must equal the field dimension")
+    from scipy.special import logsumexp
     log_hk = float(np.sum(np.log(field0.spacing)))
     H = field0.H
     for d, x in enumerate(field0.axes()):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: parsing, config, outputs, exit codes."""
 
 import importlib.util
+import json
 import re
 import shlex
 import subprocess
@@ -255,3 +256,61 @@ def test_bench_cli_outputs_match_reference(tmp_path, monkeypatch):
         res = workloads.inprocess_cli(argv)
         assert res.code == ref["code"], name
         workloads.compare_output(ref["stdout"], res.stdout, ref["csv"])
+
+
+# Child interpreter for the scipy-loading checks: imports the package, runs
+# each argv list given as JSON through cli.main with output captured, and
+# prints the loaded scipy modules after the import and after every command.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import zerophase, zerophase.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+report = {"import": loaded(), "runs": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = zerophase.cli.main(argv)
+    report["runs"].append([code, loaded()])
+print(json.dumps(report))
+"""
+
+
+def _scipy_probe(tmp_path, commands):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps(commands)],
+                          capture_output=True, text=True, check=True,
+                          cwd=tmp_path)
+    return json.loads(proc.stdout)
+
+
+def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
+    (tmp_path / "ledger.txt").write_text("position, 100, 2.0\n"
+                                         "long_term, 300, 10\n")
+    commands = [
+        ["spectrum", "check", "--lambda", "1,2,3", "--bound", "2"],
+        ["flow", "--grid=-1,1,101", "--h0-poly", "0,0,-1", "--t", "0.5",
+         "--mode", "max"],
+        ["debt", "--ledger", "ledger.txt", "--sigma-avg", "2"],
+        # rejected before any solve: exit 3, and no solver is loaded
+        ["bose", "sweep", "--levels", "0,1", "--V", "1", "--g", "1",
+         "--theta-points", "48"],
+    ]
+    report = _scipy_probe(tmp_path, commands)
+    assert report["import"] == []
+    assert [code for code, _ in report["runs"]] == [0, 0, 0, 3]
+    for argv, (_, modules) in zip(commands, report["runs"]):
+        assert modules == [], argv
+
+
+def test_avg_loads_scipy_special_only(tmp_path):
+    report = _scipy_probe(tmp_path, [["avg", "--lambda", "0,0.5,1.3",
+                                      "--p", "0.2,0.5,0.3", "--beta", "1"]])
+    assert report["import"] == []
+    [(code, modules)] = report["runs"]
+    assert code == 0
+    assert "scipy.special" in modules
+    assert "scipy.optimize" not in modules
+    assert "scipy.interpolate" not in modules

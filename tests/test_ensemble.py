@@ -2,8 +2,11 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerophase.ensemble import (EnsembleState, closed_form_coeff, compositions,
                                 ensemble_from_tuple, evolve_step,
@@ -81,6 +84,30 @@ def test_oracle_equivalence_random_instances():
         for i in range(l):
             np.testing.assert_allclose(marginal(state, i),
                                        oracle_marginal(ts, i), rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), l=st.integers(2, 3), M=st.integers(1, 5),
+       n=st.integers(1, 3), beta=st.floats(0.3, 2.0))
+def test_tuple_oracle_class_basis_closed_form_agree(data, l, M, n, beta):
+    """Tuple oracle = class basis = closed form, on drawn instances."""
+    g = data.draw(hnp.arrays(float, l, elements=st.floats(0.1, 2.0)))
+    lam = np.sort(data.draw(hnp.arrays(float, l, elements=st.floats(0.0, 2.0))))
+
+    state = init_product_state(g, M)
+    ts = tuple_product_state(g, M)
+    for _ in range(n):
+        state = evolve_step(state, lam, beta)
+        ts = oracle_evolve(ts, lam, beta)
+
+    np.testing.assert_allclose(state_norm(state), oracle_norm(ts), rtol=1e-10)
+    for i in range(l):
+        np.testing.assert_allclose(marginal(state, i), oracle_marginal(ts, i),
+                                   rtol=1e-10)
+    for occ in compositions(M, l):
+        np.testing.assert_allclose(state.coeff(occ),
+                                   closed_form_coeff(g, lam, beta, M, n, occ),
+                                   rtol=1e-11)
 
 
 def test_reduction_round_trip():
