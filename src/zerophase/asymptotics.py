@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ensemble
+from ._numeric import logsumexp
 from .averaging import Spectrum
 from .errors import InputError
 
@@ -47,14 +48,12 @@ def _support_exponents(
 def limit_F(g: Sequence[float], spectrum: Spectrum | Sequence[float], beta: float, n: int) -> float:
     """Limiting specific free energy after n steps."""
     expo, _ = _support_exponents(g, spectrum, beta, n)
-    from scipy.special import logsumexp
     return float(-logsumexp(expo) / beta)
 
 
 def limit_w(g: Sequence[float], spectrum: Spectrum | Sequence[float], beta: float, n: int) -> np.ndarray:
     """Limiting level marginals after n steps (zero off the support of g)."""
     expo, mask = _support_exponents(g, spectrum, beta, n)
-    from scipy.special import logsumexp
     w = np.zeros(mask.size)
     w[mask] = np.exp(expo - logsumexp(expo))
     return w
@@ -84,7 +83,6 @@ def gibbs_fixed_point(
         raise InputError("support must be nonempty")
     if idx.min() < 0 or idx.max() >= lam.size:
         raise InputError("support indices out of range")
-    from scipy.special import logsumexp
     F_inf = float(-logsumexp(-beta * lam[idx]) / beta)
     w_inf = np.exp(-beta * lam - logsumexp(-beta * lam))
     return GibbsPoint(F_inf=F_inf, w_inf=w_inf)

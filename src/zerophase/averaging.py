@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._numeric import logsumexp
 from .errors import GuardExceeded, InputError
 
 ENUMERATION_GUARD = 10**8
@@ -146,7 +147,6 @@ def financial_average(
         raise InputError("spectrum and weights must have equal length")
 
     if kernel.kind == "exponential":
-        from scipy.special import logsumexp
         beta = kernel.beta
         # log(sum p_i e^{-beta lam_i}) via logsumexp; zero weights drop out.
         total = logsumexp(-beta * lam, b=p)

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._numeric import brentq
 from .errors import BranchNotFound, BranchTerminated, InputError, SolverError
 
 # Residual budget every accepted branch state must satisfy, for the
@@ -294,7 +295,6 @@ def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> fl
         lo *= 0.25
         if lo < 1e-320:
             raise SolverError("low-root bracketing failed")
-    from scipy.optimize import brentq
     m = brentq(lambda x: _phi00(levels, theta, x) - target, lo, hi,
                xtol=1e-300, rtol=8.9e-16, maxiter=200)
     # Newton polish; alpha is the exact derivative of phi00 here.
@@ -367,7 +367,6 @@ def _gas_solution(levels: LevelSet, theta: float, mstar: float) -> tuple[np.ndar
     mu_lo = mu_top - max(theta, 1.0)
     while total(mu_lo) > 1.0:
         mu_lo -= max(theta, 1.0)
-    from scipy.optimize import brentq
     mu = brentq(lambda u: total(u) - 1.0, mu_lo, mu_top,
                 xtol=1e-300, rtol=8.9e-16)
     m = np.array([_low_root(levels, theta, mu - lam[n], mstar)
@@ -437,7 +436,6 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
         raise BranchNotFound(f"branch seeded at level {l} does not exist: "
                              f"lambda_{n} - lambda_{l} + V = {nu[n]:.12g} <= 0")
 
-    from scipy.optimize import brentq
     mstar = _mstar(levels, theta)
     if mstar >= 1.0:
         if l != ground:
@@ -825,6 +823,14 @@ def zeroth_order_certificate(levels: LevelSet, l: int,
     free energy itself, not just its derivatives, is discontinuous when the
     branch dies.
     """
+    return _continuation_and_certificate(levels, l, theta_grid)[1]
+
+
+def _continuation_and_certificate(levels: LevelSet, l: int,
+                                  theta_grid: Sequence[float] | None
+                                  ) -> tuple[ContinuationResult,
+                                             TransitionCertificate]:
+    # one continuation serves both the certificate and the sweep's rows
     if l == levels.ground:
         raise InputError("certificate requires a non-ground seed")
     if theta_grid is None:
@@ -836,10 +842,10 @@ def zeroth_order_certificate(levels: LevelSet, l: int,
     meta = cont.states[-1]
     ground = solve_branch(levels, cont.theta_c, levels.ground)
     jump = meta.f - ground.f
-    return TransitionCertificate(theta_c=float(cont.theta_c),
-                                 f_meta=float(meta.f),
-                                 f_ground=float(ground.f),
-                                 jump=float(jump))
+    return cont, TransitionCertificate(theta_c=float(cont.theta_c),
+                                       f_meta=float(meta.f),
+                                       f_ground=float(ground.f),
+                                       jump=float(jump))
 
 
 def scalar_scan_minima(levels: LevelSet, theta: float,

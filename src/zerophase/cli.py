@@ -294,8 +294,7 @@ def _run_bose_sweep(params: dict) -> int:
         raise InputError("--theta-points must be at least 8")
     hi = bose_gas.theta_upper_bound(levels)
     grid = np.geomspace(1e-3 * hi, hi, params["theta_points"])
-    cert = bose_gas.zeroth_order_certificate(levels, l, theta_grid=grid)
-    cont = bose_gas.continue_branch(levels, l, grid)
+    cont, cert = bose_gas._continuation_and_certificate(levels, l, grid)
     header = (["theta"] + [f"m_{i}" for i in range(levels.size)]
               + ["mu", "f", "s", "margin"])
     rows = [[st.theta, *st.m, st.mu, st.f, st.s, st.margin]

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._numeric import brentq
 from .errors import GuardExceeded, InputError
 
 SOCIAL_SCAN_GUARD = 5000
@@ -197,7 +198,6 @@ def empirical_threshold_model(levels: ParetoLevels) -> Callable[[float], float]:
             lo *= 0.5
             if lo < 1e-300:
                 raise InputError("money supply out of the invertible range")
-        from scipy.optimize import brentq
         theta = brentq(lambda t: money_at_theta(levels, t) - M, lo, hi,
                        rtol=8.9e-16, maxiter=200)
         return critical_number(levels, theta)

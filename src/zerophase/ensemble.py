@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numeric import logsumexp
 from .averaging import Spectrum
 from .errors import GuardExceeded, InputError
 
@@ -185,7 +186,6 @@ def closed_form_coeff(
 
 def log_state_norm(state: EnsembleState) -> float:
     """Log of the 1-norm: ln sum_classes c({M}) * class_size."""
-    from scipy.special import logsumexp
     _, log_sizes = _class_layout(state.M, state.l)
     return float(logsumexp(state.log_coeffs + log_sizes))
 
@@ -206,7 +206,6 @@ def marginals(state: EnsembleState) -> np.ndarray:
     log_norm = log_state_norm(state)
     if log_norm == -np.inf:
         raise InputError("zero norm state has no marginals")
-    from scipy.special import logsumexp
     a = state.log_coeffs + log_sizes
     out = np.empty(state.l)
     for i in range(state.l):

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._numeric import linear_sampler, logsumexp
 from .errors import InputError
 
 _BOUNDARIES = ("clamped", "periodic")
@@ -119,10 +120,8 @@ def _gradient_arrays(field: EntropyField, boundary: str) -> list:
 
 def _sampler(field: EntropyField, boundary: str):
     """Linear interpolant of (H, dH/dx_1, ..., dH/dx_k): one call, one row."""
-    from scipy.interpolate import RegularGridInterpolator
     values = np.stack([field.H, *_gradient_arrays(field, boundary)], axis=-1)
-    return RegularGridInterpolator(field.axes(), values, method="linear",
-                                   bounds_error=False, fill_value=None)
+    return linear_sampler(field.axes(), values)
 
 
 def _wrap(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -242,7 +241,6 @@ def log_gaussian_smoothing(field0: EntropyField, t: float,
         k = field0.ndim
     if k != field0.ndim:
         raise InputError("k must equal the field dimension")
-    from scipy.special import logsumexp
     log_hk = float(np.sum(np.log(field0.spacing)))
     H = field0.H
     for d, x in enumerate(field0.axes()):

@@ -2,8 +2,11 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerophase.averaging import (AveragingKernel, Spectrum, WeightVector,
                                  certify_resonance_free, check_resonance_free,
@@ -57,6 +60,44 @@ def test_shift_axiom_linear():
     report = verify_shift_axiom(AveragingKernel.linear(A=2.0, D=1.0),
                                 (0.0, 1.0), (0.5, 0.5), 1.0)
     np.testing.assert_allclose(report.C, 1.0, atol=1e-12)
+
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), beta=st.floats(0.1, 10.0),
+       C=st.floats(-100.0, 100.0))
+def test_shift_axiom_holds_to_rounding(data, n, beta, C):
+    """avg(lam + C) = avg(lam) + C for both admissible kernels.
+
+    Exponential: the exponents -beta (lam_i + C) carry two roundings each,
+    logsumexp is 1-Lipschitz in them and adds a few roundings of its own,
+    and the division by beta one more: a few eps of max|lam| + |C| + |avg|;
+    the test allows 8.  Linear: the two dot products with the weights each
+    err by at most n roundings of max|lam| + |C|; the test allows
+    2 (n + 2) eps of that.  A rounding that underflows may also lose one
+    subnormal spacing, which the division by beta (exponential) or by the
+    weight total (linear) scales up when they are below 1: the _TINY
+    terms.
+    """
+    lam = data.draw(hnp.arrays(float, n, elements=st.floats(-100.0, 100.0)))
+    p = data.draw(hnp.arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0))))
+    p[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(1e-3, 1.0))
+    scale = float(np.max(np.abs(lam))) + abs(C)
+    exp_kernel = AveragingKernel.exponential(beta)
+    base = financial_average(exp_kernel, lam, p)
+    shifted = financial_average(exp_kernel, lam + C, p)
+    bound = 8 * _EPS * (scale + abs(base)) + 8 * max(1.0, 1.0 / beta) * _TINY
+    assert abs(shifted - (base + C)) <= bound
+    lin_kernel = AveragingKernel.linear()
+    base = financial_average(lin_kernel, lam, p)
+    shifted = financial_average(lin_kernel, lam + C, p)
+    k = 2 * (n + 2)
+    bound = k * _EPS * scale + k * max(1.0, 1.0 / p.sum()) * _TINY
+    assert abs(shifted - (base + C)) <= bound
 
 
 def test_shift_axiom_rejects_cubic_kernel():

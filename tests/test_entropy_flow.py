@@ -281,6 +281,41 @@ def test_per_axis_scans_match_pairwise_oracle_2d(data, shape, t):
                                atol=want["heat_noise"])
 
 
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ndim=st.integers(1, 2), t=_times,
+       C=st.floats(-50.0, 50.0))
+def test_envelope_order_and_constant_shift(data, ndim, t, C):
+    """min <= H0 <= max exactly, and adding C to H0 adds C to each output.
+
+    The order is exact: every scan includes the node's own term, and the
+    kernel vanishes there.  The shift moves each output by the rounding of
+    its terms: the envelopes round each term twice per axis, so they stay
+    within 4 eps of max|H0| + |C| + max|H|; the smoothing adds the roundings
+    of two logsumexp passes and the constant, observed up to about 6 eps,
+    and the test allows 16.
+    """
+    shape = tuple(data.draw(st.integers(3, 60 if ndim == 1 else 15))
+                  for _ in range(ndim))
+    H0 = data.draw(hnp.arrays(float, shape, elements=_values))
+    origin = tuple(data.draw(_origins) for _ in range(ndim))
+    spacing = tuple(data.draw(_spacings) for _ in range(ndim))
+    field0 = EntropyField(origin, spacing, H0)
+    moved = EntropyField(origin, spacing, H0 + C)
+    hi = hopf_lax(field0, t, mode="max").H
+    lo = hopf_lax(field0, t, mode="min").H
+    assert np.all(lo <= H0) and np.all(H0 <= hi)
+    for H, H_moved, ulps in (
+            (hi, hopf_lax(moved, t, mode="max").H, 4),
+            (lo, hopf_lax(moved, t, mode="min").H, 4),
+            (log_gaussian_smoothing(field0, t).H,
+             log_gaussian_smoothing(moved, t).H, 16)):
+        bound = ulps * _EPS * (np.max(np.abs(H0)) + abs(C) + np.max(np.abs(H)))
+        assert np.max(np.abs(H_moved - (H + C))) <= bound
+
+
 # ---------------------------------------------------------------------------
 # per-point oracle for ascent, price transport and calibration: one
 # interpolator per component, read one point at a time

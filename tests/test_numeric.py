@@ -1,0 +1,173 @@
+"""The numpy ports of brentq, logsumexp and the linear interpolant.
+
+scipy stays the oracle: every port must return exactly what the scipy
+routine it replaces returns, bit for bit.
+"""
+
+import math
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
+from scipy.optimize import brentq as scipy_brentq
+from scipy.special import logsumexp as scipy_logsumexp
+
+from zerophase._numeric import brentq, linear_sampler, logsumexp
+from zerophase.errors import SolverError
+
+# ---------------------------------------------------------------------------
+# logsumexp
+
+# small values tie at the max; +-800 overflow exp in the direct sum
+_exponents = st.one_of(st.floats(-50.0, 50.0),
+                       st.sampled_from([0.0, 2.5, 800.0, -800.0]))
+_weights = st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(-1.0, 3.0))
+
+
+def _same(got, want) -> bool:
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.array_equal(got, want, equal_nan=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+       axis=st.sampled_from([None, -1]), weighted=st.booleans(),
+       zero_row=st.booleans())
+def test_logsumexp_equals_scipy(data, shape, axis, weighted, zero_row):
+    a = data.draw(hnp.arrays(float, shape, elements=_exponents))
+    b = None
+    if weighted:
+        b = data.draw(hnp.arrays(float, shape, elements=_weights))
+        if zero_row:
+            b[0] = 0.0
+    assert _same(logsumexp(a, axis=axis, b=b),
+                 scipy_logsumexp(a, axis=axis, b=b))
+    # the 1-d call the averaging and asymptotic paths make
+    assert _same(logsumexp(a[0], b=None if b is None else b[0]),
+                 scipy_logsumexp(a[0], b=None if b is None else b[0]))
+
+
+def test_logsumexp_overflow_with_zero_weights_is_nan_as_in_scipy():
+    # the fallback sums the original terms: 0 * inf is NaN, not -inf
+    a = np.array([[800.0, 1.0], [0.0, 1.0]])
+    b = np.array([[0.0, 0.0], [1.0, 1.0]])
+    got = logsumexp(a, axis=-1, b=b)
+    assert math.isnan(got[0])
+    assert _same(got, scipy_logsumexp(a, axis=-1, b=b))
+
+
+# ---------------------------------------------------------------------------
+# brentq
+
+# (xtol, rtol, maxiter) at the call sites, scipy's defaults, and budgets
+# short enough to run out
+_TOLERANCES = [
+    dict(xtol=1e-300, rtol=8.9e-16, maxiter=200),  # bose_gas._low_root
+    dict(xtol=1e-300, rtol=8.9e-16),               # bose_gas._gas_solution
+    dict(xtol=1e-15, rtol=8.9e-16),                # bose_gas.solve_branch
+    dict(rtol=8.9e-16, maxiter=200),               # condensation.n0_of_money
+    dict(),
+    dict(xtol=0.1),  # coarse: delta then steers the step rules
+    dict(maxiter=3),
+]
+
+
+def _outcome(solver, f, lo, hi, kwargs):
+    """Root (or failure) and every abscissa the solver evaluated f at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        return solver(g, lo, hi, **kwargs), calls
+    except (SolverError, ValueError, RuntimeError):
+        return "failed", calls
+
+
+@settings(max_examples=200, deadline=None)
+@example(coeffs=[1.1125369292536007e-308, 0.0, 0.0, 1.1125369292536007e-308],
+         ends=(0.0, -2.0), kwargs=_TOLERANCES[0])  # a step divides by zero
+@example(coeffs=[-0.05, 2.55, -0.1, -4.71], ends=(-2.14, 0.01),
+         kwargs=dict(xtol=0.1))  # the short-step test's "- delta" decides
+@given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=5),
+       ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       kwargs=st.sampled_from(_TOLERANCES))
+def test_brentq_equals_scipy_on_polynomials(coeffs, ends, kwargs):
+    lo, hi = sorted(ends)
+
+    def f(x):
+        return float(np.polyval(coeffs, x))
+
+    assert (_outcome(brentq, f, lo, hi, kwargs)
+            == _outcome(scipy_brentq, f, lo, hi, kwargs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(V=st.floats(0.1, 4.0), theta=st.floats(1e-3, 2.0),
+       g=st.floats(0.1, 3.0), target=st.floats(-50.0, -0.01),
+       kwargs=st.sampled_from(_TOLERANCES))
+def test_brentq_equals_scipy_on_the_low_root_equation(V, theta, g, target,
+                                                      kwargs):
+    # phi00(m) - target on (0, m*], the equation _low_root solves
+    mstar = V * (g + 1.0) / g
+
+    def f(m):
+        return -V * m + theta * math.log(m / (g + m)) - target
+
+    assert (_outcome(brentq, f, 5e-324, mstar, kwargs)
+            == _outcome(scipy_brentq, f, 5e-324, mstar, kwargs))
+
+
+def test_brentq_without_sign_change_names_the_bracket():
+    with pytest.raises(SolverError, match="no sign change on"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_nan_names_the_abscissa():
+    with pytest.raises(SolverError, match=r"f is NaN at x = 1\.0"):
+        brentq(lambda x: x - 0.3 if x < 0.9 else math.nan, 0.0, 1.0)
+
+
+def test_brentq_out_of_iterations_says_so():
+    with pytest.raises(SolverError, match="no convergence after 2 iterations"):
+        brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, maxiter=2)
+
+
+# ---------------------------------------------------------------------------
+# linear interpolant
+
+
+def _axis(data):
+    n = data.draw(st.integers(3, 8))
+    if data.draw(st.booleans()):
+        origin, h = data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(0.05, 1.0))
+        return origin + h * np.arange(n)
+    nodes = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0),
+                                 unique=True))
+    return np.sort(nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ndim=st.integers(1, 2))
+def test_linear_sampler_equals_scipy(data, ndim):
+    axes = tuple(_axis(data) for _ in range(ndim))
+    shape = tuple(g.size for g in axes) + (ndim + 1,)
+    values = data.draw(hnp.arrays(float, shape, elements=st.floats(-5.0, 5.0)))
+    # points inside, outside the box (extrapolated), on nodes, and NaN
+    coords = [st.one_of(st.floats(g[0] - 5.0, g[-1] + 5.0),
+                        st.sampled_from(list(g)), st.just(math.nan))
+              for g in axes]
+    pts = np.array(data.draw(st.lists(st.tuples(*coords), min_size=1,
+                                      max_size=12)))
+    rgi = RegularGridInterpolator(axes, values, method="linear",
+                                  bounds_error=False, fill_value=None)
+    sample = linear_sampler(axes, values)
+    for xi in (pts, pts[0]):
+        got, want = sample(xi), rgi(xi)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
