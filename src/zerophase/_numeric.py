@@ -1,9 +1,9 @@
-"""Numpy ports of the three scipy routines the solvers call.
+"""Numpy ports of the four SciPy routines the solvers call.
 
-Each port performs the same float operations in the same order as the scipy
+Each port performs the same float operations in the same order as the SciPy
 1.17 code it replaces, so it returns the same bits; the tests hold each one
-to its scipy original with exact equality.  Keeping them here lets every
-command except the gammaln users run on numpy alone.
+to its SciPy original with exact equality.  Keeping them here lets the
+package run on numpy alone.
 """
 
 from __future__ import annotations
@@ -14,14 +14,75 @@ import operator
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import InputError, SolverError
 
 _RTOL = 4 * np.finfo(float).eps
+
+# Largest count accepted: sums of two counts stay exact in float64, so the
+# arguments of log_factorial match those the float gammaln calls had.
+MAX_COUNT = 2**52
+
+# cephes lgam (Moshier, Methods and Programs for Mathematical Functions,
+# 1989): ln sqrt(2 pi) and the Stirling correction in 1/x^2 for x < 1000
+_LS2PI = 0.91893853320467274178
+_STIRLING_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+               7.93650340457716943945E-4, -2.77777777730099687205E-3,
+               8.33333333333331927722E-2)
+# x = k + 1 < 13: cephes multiplies out k! exactly and takes its log
+_SMALL_LOG_FACTORIALS = np.array([math.log(float(math.factorial(k)))
+                                  for k in range(12)])
+
+
+def as_counts(values) -> np.ndarray:
+    """values as an int64 array of counts in [0, MAX_COUNT].
+
+    Raises InputError naming a non-integer, negative or too large entry.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        a = a.astype(float)
+        if not np.all(np.isfinite(a) & (a == np.floor(a))):
+            raise InputError("occupations must be integers")
+    if np.any(a < 0):
+        raise InputError("occupations must be nonnegative")
+    if np.any(a > MAX_COUNT):
+        raise InputError("occupations must not exceed 2**52")
+    return a.astype(np.int64)
+
+
+def log_factorial(k):
+    """ln k! for integers k >= 0, as SciPy's gammaln(k + 1) gives it.
+
+    The float operations of cephes lgam at x = k + 1, with its logs taken
+    from libm through math.log: numpy's vectorised log can differ from
+    libm in the last place.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    shape = k.shape
+    k = k.ravel()
+    x = k + 1.0
+    out = _SMALL_LOG_FACTORIALS[np.minimum(k, 11)]
+    big = x >= 13.0
+    if big.any():
+        xb = x[big]
+        log_x = np.fromiter(map(math.log, xb.tolist()), float, xb.size)
+        q = (xb - 0.5) * log_x - xb + _LS2PI
+        p = 1.0 / (xb * xb)
+        poly = np.full_like(p, _STIRLING_A[0])
+        for c in _STIRLING_A[1:]:
+            poly = poly * p + c
+        three = ((7.9365079365079365079365e-4 * p
+                  - 2.7777777777777777777778e-3) * p
+                 + 0.0833333333333333333333)
+        corr = np.where(xb < 1000.0, poly, three) / xb
+        out[big] = np.where(xb > 1.0e8, q, q + corr)
+    out = out.reshape(shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
            maxiter: int = 100) -> float:
-    """Root of f on [a, b] by Brent's method, as scipy's brentq.c codes it.
+    """Root of f on [a, b] by Brent's method, as SciPy's brentq.c codes it.
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 4.
     Raises SolverError when f(a) and f(b) share a sign, when f is NaN, and
@@ -87,7 +148,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
 
 
 def logsumexp(a, axis: int | None = None, b=None):
-    """log(sum(b * exp(a))) over axis (None or -1), as scipy.special's.
+    """log(sum(b * exp(a))) over axis (None or -1), as SciPy's.
 
     Splits the max terms off the sum (Blanchard, Higham & Higham, IMA J.
     Numer. Anal. 41, 2021), and where that is not finite returns the direct
@@ -118,7 +179,7 @@ def logsumexp(a, axis: int | None = None, b=None):
     out[sgn < 0] = np.nan
     finite = np.isfinite(out)
     if not finite.all():
-        # scipy evaluates this fallback everywhere; only these rows use it
+        # SciPy evaluates this fallback everywhere; only these rows use it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
                                    axis=axis, keepdims=True))
@@ -130,7 +191,7 @@ def logsumexp(a, axis: int | None = None, b=None):
 def linear_sampler(axes, values: np.ndarray):
     """Multilinear interpolant of values on the ascending grid axes.
 
-    The port of scipy's RegularGridInterpolator(axes, values, "linear",
+    The port of SciPy's RegularGridInterpolator(axes, values, "linear",
     bounds_error=False, fill_value=None) for values that stack components
     after the grid axes: points outside the box extrapolate from the edge
     cell, and a NaN coordinate gives a NaN row through the weights.
@@ -148,7 +209,7 @@ def linear_sampler(axes, values: np.ndarray):
             i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
             d = (x - g[i]) / (g[i + 1] - g[i])
             corners.append(((i, 1 - d), (i + 1, d)))
-        # the hypercube sum in scipy's _evaluate_linear order
+        # the hypercube sum in SciPy's _evaluate_linear order
         value = np.array([0.])
         for vertex in itertools.product(*corners):
             edge, weights = zip(*vertex)

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import brentq
+from ._numeric import MAX_COUNT, as_counts, brentq, log_factorial
 from .errors import BranchNotFound, BranchTerminated, InputError, SolverError
 
 # Residual budget every accepted branch state must satisfy, for the
@@ -147,11 +147,9 @@ def build_levels(spec: DispersionSpec, g: float, V: float, D: float) -> LevelSet
 
 def discrete_energy(levels: LevelSet, occupation: Sequence[int], N: int) -> float:
     """Energy of an occupation vector: sum lam*n - (V/2N) sum n(n-1)."""
-    occ = np.asarray(occupation)
+    occ = as_counts(occupation)
     if occ.shape != (levels.size,):
         raise InputError("occupation length must match the level count")
-    if np.any(occ < 0) or not np.all(occ == np.floor(occ)):
-        raise InputError("occupations must be nonnegative integers")
     if int(occ.sum()) != N:
         raise InputError("occupations must sum to N")
     occ = occ.astype(float)
@@ -166,15 +164,16 @@ def log_multiplicity(levels: LevelSet, occupation: Sequence[int], N: int,
     Each level is a block of G sublevels; G defaults to round(g*N), the
     finite-N reading of the specific degeneracy.
     """
-    occ = np.asarray(occupation, dtype=float)
+    occ = as_counts(occupation)
     if int(occ.sum()) != N:
         raise InputError("occupations must sum to N")
     if G is None:
         G = max(1, int(round(levels.g * N)))
-    if G < 1:
-        raise InputError("G must be a positive integer")
-    from scipy.special import gammaln
-    return float(np.sum(gammaln(G + occ) - gammaln(G) - gammaln(occ + 1.0)))
+    if not (1 <= G <= MAX_COUNT and float(G).is_integer()):
+        raise InputError("G must be a positive integer up to 2**52")
+    G = int(G)
+    return float(np.sum(log_factorial(G + occ - 1) - log_factorial(G - 1)
+                        - log_factorial(occ)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import brentq
+from ._numeric import MAX_COUNT, brentq, log_factorial
 from .errors import GuardExceeded, InputError
 
 SOCIAL_SCAN_GUARD = 5000
@@ -262,6 +262,8 @@ class TwoLevelEconomy:
         for name, v in (("n1", self.n1), ("n2", self.n2), ("N", self.N)):
             if v < 1 or int(v) != v:
                 raise InputError(f"{name} must be a positive integer")
+            if v > MAX_COUNT:
+                raise InputError(f"{name} must not exceed 2**52")
         if not (1.0 < self.gamma_int < 2.0):
             raise InputError("gamma_int must lie strictly between 1 and 2")
         if self.sign_convention not in _SIGN_CONVENTIONS:
@@ -277,11 +279,12 @@ def _energy_part(eco: TwoLevelEconomy) -> np.ndarray:
 
 
 def _log_multiplicity(eco: TwoLevelEconomy) -> np.ndarray:
-    from scipy.special import gammaln
-    n1 = np.arange(eco.N + 1, dtype=float)
-    n2 = eco.N - n1
-    return (gammaln(n1 + eco.n1) - gammaln(eco.n1) - gammaln(n1 + 1.0)
-            + gammaln(n2 + eco.n2) - gammaln(eco.n2) - gammaln(n2 + 1.0))
+    N, a, b = int(eco.N), int(eco.n1), int(eco.n2)
+    n1 = np.arange(N + 1)
+    n2 = N - n1
+    lf = log_factorial(n1)
+    return (log_factorial(n1 + a - 1) - log_factorial(a - 1) - lf
+            + log_factorial(n2 + b - 1) - log_factorial(b - 1) - lf[n2])
 
 
 def social_functional(eco: TwoLevelEconomy, T: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import logsumexp
+from ._numeric import as_counts, log_factorial, logsumexp
 from .averaging import Spectrum
 from .errors import GuardExceeded, InputError
 
@@ -56,9 +56,9 @@ def _class_layout(M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
             for rest in gen(remaining - first, slots - 1):
                 yield (first,) + rest
 
-    from scipy.special import gammaln
     occ = np.array(list(gen(M, l)), dtype=np.int64).reshape(-1, l)
-    log_sizes = gammaln(M + 1) - gammaln(occ + 1).sum(axis=1)
+    lf = log_factorial(np.arange(M + 1))
+    log_sizes = lf[M] - lf[occ].sum(axis=1)
     occ.setflags(write=False)
     log_sizes.setflags(write=False)
     return occ, log_sizes
@@ -162,14 +162,13 @@ def closed_form_log_coeff(
     """Log of the closed-form class coefficient after n steps."""
     g = np.asarray(g, dtype=float)
     lam = _spectrum_array(spectrum, g.size)
-    occ_arr = np.asarray(occ, dtype=np.int64)
+    occ_arr = as_counts(occ)
     if occ_arr.sum() != M:
         raise InputError("occupation vector must sum to M")
-    from scipy.special import gammaln
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
         base = np.where(occ_arr > 0, occ_arr * log_g, 0.0).sum()
-    log_size = gammaln(M + 1) - gammaln(occ_arr + 1).sum()
+    log_size = log_factorial(M) - log_factorial(occ_arr).sum()
     return float(base + n * (log_size - beta * (occ_arr @ lam)))
 
 

@@ -64,6 +64,31 @@ def test_discrete_energy_and_multiplicity():
         discrete_energy(LV, (1, 2), 2)
 
 
+def test_log_multiplicity_rejects_negative_occupation():
+    with pytest.raises(InputError, match="nonnegative"):
+        log_multiplicity(LV, [-1, 5], 4)
+
+
+def test_log_multiplicity_rejects_non_integer_occupation():
+    for occ in ([1.5, 2.5], [math.nan, 4.0], [math.inf, 4.0]):
+        with pytest.raises(InputError, match="integers"):
+            log_multiplicity(LV, occ, 4)
+
+
+def test_log_multiplicity_rejects_counts_beyond_2_52():
+    with pytest.raises(InputError, match="must not exceed 2"):
+        log_multiplicity(LV, [2**53, 0], 2**53)
+    with pytest.raises(InputError, match="G must be a positive integer"):
+        log_multiplicity(LV, [1, 3], 4, 2**53)
+
+
+def test_log_multiplicity_rejects_non_integer_G():
+    for G in (0, -2, 1.5, math.nan, math.inf):
+        with pytest.raises(InputError, match="G must be a positive integer"):
+            log_multiplicity(LV, [1, 3], 4, G)
+    assert log_multiplicity(LV, [1, 3], 4, 2.0) == log_multiplicity(LV, [1, 3], 4, 2)
+
+
 def test_free_energy_rejects_boundary_fractions():
     with pytest.raises(InputError):
         free_energy(LV, (0.0, 1.0), 0.2)

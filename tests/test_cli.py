@@ -305,39 +305,35 @@ def test_import_and_numpy_only_commands_load_no_scipy(tmp_path):
         assert modules == [], argv
 
 
-def test_solver_commands_load_no_scipy_and_evolve_only_special(tmp_path):
+def test_solver_commands_load_no_scipy(tmp_path):
     commands = [
         ["avg", "--lambda", "0,0.5,1.3", "--p", "0.2,0.5,0.3", "--beta", "1"],
         ["bose", "sweep", "--levels", "0,1", "--V", "2", "--g", "1",
          "--theta-points", "16"],
         ["flow", "--grid=-1,1,101", "--h0-poly", "0,0,-1", "--t", "0.5",
          "--mode", "smooth", "--x0", "0.2"],
-        # last: gammaln is the one scipy call left, and it stays loaded
+        # the log-factorial users
         ["evolve", "--g", "1,1", "--lambda", "0,1", "--beta", "0.7",
          "--M", "4", "--steps", "3"],
+        ["limits", "--g", "1,1", "--lambda", "0,1", "--beta", "1",
+         "--n", "0,1", "--M", "50,100"],
+        ["social", "--n1", "5", "--n2", "95", "--N", "100", "--gamma", "1.5",
+         "--T-grid", "0,2,20"],
     ]
     report = _scipy_probe(tmp_path, commands)
     assert report["import"] == []
-    assert [code for code, _ in report["runs"]] == [0, 0, 0, 0]
-    for argv, (_, modules) in zip(commands[:3], report["runs"]):
+    assert [code for code, _ in report["runs"]] == [0] * len(commands)
+    for argv, (_, modules) in zip(commands, report["runs"]):
         assert modules == [], argv
-    modules = report["runs"][3][1]
-    assert "scipy.special" in modules
-    assert "scipy.optimize" not in modules
-    assert "scipy.interpolate" not in modules
 
 
-def test_source_imports_gammaln_and_nothing_else_from_scipy():
+def test_source_imports_no_scipy():
     src = Path(__file__).resolve().parent.parent / "src" / "zerophase"
     files = sorted(src.glob("*.py"))
     assert files
+    # catches lazy and importlib loads too, not only import lines
     for path in files:
-        text = path.read_text()
-        assert not re.search(r"scipy\.(optimize|interpolate)", text), path.name
-        for line in re.findall(r"^\s*(?:from|import)\s+scipy\b.*$", text,
-                               flags=re.M):
-            assert line.strip() == "from scipy.special import gammaln", \
-                (path.name, line)
+        assert "scipy" not in path.read_text(), path.name
 
 
 def test_bose_sweep_continues_the_branch_once(monkeypatch, capsys):

@@ -119,6 +119,8 @@ def test_economy_validation():
         TwoLevelEconomy(n1=50, n2=50, N=100, gamma_int=2.0)
     with pytest.raises(InputError):
         TwoLevelEconomy(n1=0, n2=50, N=100, gamma_int=1.5)
+    with pytest.raises(InputError, match="must not exceed 2"):
+        TwoLevelEconomy(n1=2**52 + 1, n2=50, N=100, gamma_int=1.5)
     with pytest.raises(InputError):
         TwoLevelEconomy(n1=5, n2=5, N=10, gamma_int=1.5, sign_convention="xor")
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerophase.ensemble import (EnsembleState, closed_form_coeff, compositions,
+from zerophase.ensemble import (EnsembleState, closed_form_coeff,
+                                closed_form_log_coeff, compositions,
                                 ensemble_from_tuple, evolve_step,
                                 init_product_state, log_state_norm, marginal,
                                 marginals, oracle_evolve, oracle_marginal,
@@ -133,6 +134,16 @@ def test_log_norm_handles_large_ensembles():
     state = evolve_step(state, (0.0, LN2), 1.0)
     assert math.isfinite(log_state_norm(state))
     assert math.isfinite(specific_free_energy(state, 1.0))
+
+
+def test_closed_form_rejects_negative_occupation():
+    with pytest.raises(InputError, match="nonnegative"):
+        closed_form_log_coeff((1.0, 1.0), (0.0, 1.0), 0.7, 4, 2, (-1, 5))
+
+
+def test_closed_form_rejects_non_integer_occupation():
+    with pytest.raises(InputError, match="integers"):
+        closed_form_log_coeff((1.0, 1.0), (0.0, 1.0), 0.7, 4, 2, (1.5, 2.5))
 
 
 def test_input_validation():

@@ -1,4 +1,4 @@
-"""The numpy ports of brentq, logsumexp and the linear interpolant.
+"""The numpy ports of brentq, logsumexp, the linear interpolant and gammaln.
 
 scipy stays the oracle: every port must return exactly what the scipy
 routine it replaces returns, bit for bit.
@@ -13,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq as scipy_brentq
+from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
-from zerophase._numeric import brentq, linear_sampler, logsumexp
+from zerophase import bose_gas, condensation, ensemble
+from zerophase._numeric import brentq, linear_sampler, log_factorial, logsumexp
 from zerophase.errors import SolverError
 
 # ---------------------------------------------------------------------------
@@ -171,3 +173,78 @@ def test_linear_sampler_equals_scipy(data, ndim):
         got, want = sample(xi), rgi(xi)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# log_factorial
+
+
+def test_log_factorial_equals_gammaln_exhaustively():
+    k = np.arange(200_001)
+    assert np.array_equal(log_factorial(k), gammaln(k + 1.0))
+
+
+# the edges of cephes lgam's branches at x = k + 1: the exact product below
+# 13, the five-term correction below 1000, the three-term one up to 1e8
+@pytest.mark.parametrize("k", [0, 1, 11, 12, 13, 998, 999, 1000,
+                               10**8 - 2, 10**8 - 1, 10**8, 10**8 + 1,
+                               10**8 + 2, 2**53 - 1])
+def test_log_factorial_equals_gammaln_at_branch_edges(k):
+    got, want = log_factorial(k), gammaln(k + 1.0)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 2**53), min_size=1, max_size=20))
+def test_log_factorial_equals_gammaln(ks):
+    k = np.array(ks, dtype=np.int64)
+    assert np.array_equal(log_factorial(k), gammaln(k + 1.0))
+    assert np.array_equal(log_factorial(k.reshape(1, -1)),
+                          gammaln(k.reshape(1, -1) + 1.0))
+
+
+# the call sites against the gammaln expressions they replaced
+
+
+@pytest.mark.parametrize("M,l", [(1, 1), (4, 2), (12, 3), (13, 3), (40, 4),
+                                 (999, 2), (1500, 2)])
+def test_class_layout_log_sizes_equal_gammaln(M, l):
+    occ, log_sizes = ensemble._class_layout(M, l)
+    assert np.array_equal(log_sizes,
+                          gammaln(M + 1) - gammaln(occ + 1).sum(axis=1))
+
+
+@pytest.mark.parametrize("n1,n2,N", [(1, 1, 1), (50, 50, 100), (5, 95, 100),
+                                     (1000, 7, 2000), (3, 1200, 5000),
+                                     (10**9, 5, 100), (2**52, 1, 10)])
+def test_social_log_multiplicity_equals_gammaln(n1, n2, N):
+    eco = condensation.TwoLevelEconomy(n1=n1, n2=n2, N=N, gamma_int=1.5)
+    m1 = np.arange(N + 1, dtype=float)
+    m2 = N - m1
+    want = (gammaln(m1 + n1) - gammaln(n1) - gammaln(m1 + 1.0)
+            + gammaln(m2 + n2) - gammaln(n2) - gammaln(m2 + 1.0))
+    assert np.array_equal(condensation._log_multiplicity(eco), want)
+
+
+@pytest.mark.parametrize("occ", [(4, 0), (1, 3), (2, 2, 0), (7, 6, 3, 14),
+                                 (500, 1500, 0), (0, 1000)])
+def test_closed_form_log_coeff_equals_gammaln(occ):
+    l, M, n, beta = len(occ), sum(occ), 3, 0.7
+    g = np.linspace(0.5, 1.5, l)
+    lam = np.arange(l, dtype=float)
+    occ_arr = np.array(occ, dtype=np.int64)
+    base = np.where(occ_arr > 0, occ_arr * np.log(g), 0.0).sum()
+    log_size = gammaln(M + 1) - gammaln(occ_arr + 1).sum()
+    want = float(base + n * (log_size - beta * (occ_arr @ lam)))
+    assert ensemble.closed_form_log_coeff(g, lam, beta, M, n, occ) == want
+
+
+@pytest.mark.parametrize("occ,G", [((2, 0), None), ((1, 1), 1), ((7, 13), 5),
+                                   ((0, 400, 1100), 999)])
+def test_bose_log_multiplicity_equals_gammaln(occ, G):
+    levels = bose_gas.LevelSet.from_values(tuple(range(len(occ))), 1.0, 2.0)
+    N = sum(occ)
+    x = np.array(occ, dtype=float)
+    G_ = max(1, int(round(levels.g * N))) if G is None else G
+    want = float(np.sum(gammaln(G_ + x) - gammaln(G_) - gammaln(x + 1.0)))
+    assert bose_gas.log_multiplicity(levels, occ, N, G) == want
