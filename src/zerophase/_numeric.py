@@ -161,7 +161,7 @@ def logsumexp(a, axis: int | None = None, b=None):
     a = np.atleast_1d(a)
     b = None if b is None else np.atleast_1d(b)
     axis = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rest = a if b is None else np.where(b == 0, -np.inf, a)
         a_max = np.max(rest, axis=axis, keepdims=True)
         i_max = rest == a_max

@@ -20,8 +20,8 @@ coefficients sum to zero), and generically carry none when p >= N.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -213,38 +213,64 @@ def _canonical_witness(k: tuple[int, ...]) -> tuple[int, ...]:
     return k
 
 
+def _shell_vectors(shell: int, l: int, start: int, stop: int) -> np.ndarray:
+    """Sum-zero vectors of one shell from prefixes start..stop-1, in order.
+
+    Prefix number i spells (k_1..k_{l-1}) in base 2*shell+1, k_1 the most
+    significant digit, as itertools.product orders them; k_l = -sum(prefix)
+    is the one last entry that can give sum zero.  Rows where it leaves the
+    shell, or where max|k_i| falls below the shell, are dropped.
+    """
+    base = 2 * shell + 1
+    index = np.arange(start, stop)
+    k = np.empty((index.size, l), dtype=np.int64)
+    for j in range(l - 2, -1, -1):
+        index, k[:, j] = np.divmod(index, base)
+    k[:, :-1] -= shell
+    k[:, -1] = -k[:, :-1].sum(axis=1)
+    k = k[np.abs(k[:, -1]) <= shell]
+    return k[np.abs(k).max(axis=1) == shell]
+
+
 def check_resonance_free(spectrum: Spectrum | Sequence[float], bound: int) -> ResonanceReport:
     """Bounded enumeration of integer relations sum(k)=0, sum(lam*k)=0.
 
     Vectors are visited shell by shell in max|k_i|, so the simplest witness is
-    found first.  Integer spectra are compared exactly; otherwise a relative
-    tolerance against max|lam| is used.
+    found first; within a shell they come in itertools.product order, in
+    blocks of about 1e6 entries.  Integer spectra are compared exactly, in
+    Python ints; otherwise the pairing is summed left to right, one
+    coordinate at a time, and compared with a relative tolerance against
+    max|lam|.
     """
     spectrum = _coerce_spectrum(spectrum)
-    if bound < 1:
+    if isinstance(bound, bool) or not isinstance(bound, numbers.Integral) or bound < 1:
         raise InputError("bound K must be a positive integer")
+    K = int(bound)
     lam = spectrum.values
     l = len(lam)
-    if (2 * bound + 1) ** l > ENUMERATION_GUARD:
+    if (2 * K + 1) ** l > ENUMERATION_GUARD:
         raise GuardExceeded("bound too large: (2K+1)^l exceeds the enumeration guard")
 
-    all_integer = all(float(v).is_integer() for v in lam)
-    lam_int = tuple(int(v) for v in lam) if all_integer else None
-    tol = _RELATION_RTOL * max(abs(v) for v in lam) if not all_integer else 0.0
+    if all(v.is_integer() for v in lam):
+        # 1e300 is an integer too: Python ints keep every product exact
+        values, tol = np.array([int(v) for v in lam], dtype=object), 0
+    else:
+        values, tol = np.array(lam), _RELATION_RTOL * max(abs(v) for v in lam)
 
-    for shell in range(1, bound + 1):
-        rng = range(-shell, shell + 1)
-        for k in itertools.product(rng, repeat=l):
-            if max(abs(x) for x in k) != shell:
-                continue
-            if sum(k) != 0:
-                continue
-            if all_integer:
-                hit = sum(ki * vi for ki, vi in zip(k, lam_int)) == 0
-            else:
-                hit = abs(sum(ki * vi for ki, vi in zip(k, lam))) <= tol
-            if hit:
-                return ResonanceReport(holds=False, witness=_canonical_witness(k), bound=bound)
+    rows = max(1, int(1e6) // l)
+    for shell in range(1, K + 1):
+        prefixes = (2 * shell + 1) ** (l - 1)
+        for start in range(0, prefixes, rows):
+            k = _shell_vectors(shell, l, start, min(prefixes, start + rows))
+            k = k.astype(values.dtype, copy=False)
+            pairing = 0
+            for j in range(l):
+                pairing = pairing + k[:, j] * values[j]
+            hits = np.flatnonzero(abs(pairing) <= tol)
+            if hits.size:
+                witness = tuple(int(x) for x in k[hits[0]])
+                return ResonanceReport(holds=False, witness=_canonical_witness(witness),
+                                       bound=bound)
     return ResonanceReport(holds=True, witness=None, bound=bound)
 
 

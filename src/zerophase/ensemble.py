@@ -191,7 +191,9 @@ def log_state_norm(state: EnsembleState) -> float:
 
 def state_norm(state: EnsembleState) -> float:
     """Linear-space norm; may overflow to inf for large M*n (use log_state_norm)."""
-    return float(np.exp(log_state_norm(state)))
+    log_norm = log_state_norm(state)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_norm))
 
 
 def marginal(state: EnsembleState, i: int) -> float:

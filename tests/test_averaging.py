@@ -1,5 +1,6 @@
 """Kernel averaging, the shift axiom, and integer-relation checks."""
 
+import itertools
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerophase.averaging import (AveragingKernel, Spectrum, WeightVector,
-                                 certify_resonance_free, check_resonance_free,
+from zerophase.averaging import (_RELATION_RTOL, AveragingKernel,
+                                 ResonanceReport, Spectrum, WeightVector,
+                                 _canonical_witness, certify_resonance_free,
+                                 check_resonance_free,
                                  financial_average, polynomial_spectrum,
                                  probe_proposition3, verify_shift_axiom)
 from zerophase.errors import GuardExceeded, InputError
@@ -160,3 +163,116 @@ def test_probe_low_degree_always_fails():
 def test_probe_full_degree_never_fails():
     report = probe_proposition3(p=3, N=3, trials=20, bound=3, seed=7)
     assert report.fail_fraction == 0.0
+
+
+def test_resonance_bound_must_be_an_integer():
+    for bound in (2.5, "2", True):
+        with pytest.raises(InputError, match="bound K"):
+            check_resonance_free((1.0, 2.0, 3.0), bound)
+    with pytest.raises(InputError, match="bound K"):
+        certify_resonance_free(Spectrum((1.0, 2.0)), 2.0)
+    with pytest.raises(InputError, match="bound K"):
+        probe_proposition3(p=1, N=3, trials=2, bound=False, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised enumeration against the tuple-at-a-time loop it replaced
+
+def _resonance_oracle(spectrum, bound):
+    """Every vector of each shell in itertools.product order, one at a time."""
+    lam = tuple(float(v) for v in spectrum)
+    l = len(lam)
+    all_integer = all(float(v).is_integer() for v in lam)
+    lam_int = tuple(int(v) for v in lam) if all_integer else None
+    tol = _RELATION_RTOL * max(abs(v) for v in lam) if not all_integer else 0.0
+
+    for shell in range(1, bound + 1):
+        rng = range(-shell, shell + 1)
+        for k in itertools.product(rng, repeat=l):
+            if max(abs(x) for x in k) != shell:
+                continue
+            if sum(k) != 0:
+                continue
+            if all_integer:
+                hit = sum(ki * vi for ki, vi in zip(k, lam_int)) == 0
+            else:
+                # left to right on every Python (3.12's sum() compensates)
+                pairing = 0
+                for ki, vi in zip(k, lam):
+                    pairing = pairing + ki * vi
+                hit = abs(pairing) <= tol
+            if hit:
+                return ResonanceReport(holds=False, witness=_canonical_witness(k), bound=bound)
+    return ResonanceReport(holds=True, witness=None, bound=bound)
+
+
+@st.composite
+def _spectra(draw):
+    kind = draw(st.sampled_from(["float", "integer", "polynomial", "one_decimal"]))
+    if kind == "polynomial":
+        # N + 1 levels of a degree-p polynomial: relations whenever p < N
+        coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+        return polynomial_spectrum(coeffs, draw(st.integers(1, 4))).values
+    elements = {"float": st.floats(-5.0, 5.0),
+                "integer": st.integers(-6, 6).map(float),
+                # decimal relations hold only up to rounding: ties near the tolerance
+                "one_decimal": st.integers(-30, 30).map(lambda n: n / 10)}[kind]
+    return tuple(draw(st.lists(elements, min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=_spectra(), bound=st.integers(1, 3))
+def test_resonance_enumeration_equals_tuple_oracle(lam, bound):
+    assert check_resonance_free(lam, bound) == _resonance_oracle(lam, bound)
+
+
+@pytest.mark.parametrize("lam, holds", [
+    ((0.42151296323629667, 0.32852160702010147, 0.9759403305729062,
+      0.8829489743576869), True),
+    ((0.9969129520949023, 0.39457237144506174, 0.4054939737816822,
+      -0.19684660686716135), True),
+    ((0.9719741951837886, 0.5213089791108141, 0.43618740453015664,
+      -0.014477811541845886), False),
+    ((0.411421256470703, 0.9727836804229626, 0.5174559724479041,
+      1.0788183964012426), False),
+])
+def test_resonance_pairing_is_summed_left_to_right(lam, holds):
+    """lam_1 - lam_2 - lam_3 + lam_4 sits within an ulp of the tolerance.
+
+    The left-to-right sum decides these; a matrix product that reorders or
+    fuses the terms flips them, and a compensated sum (Python 3.12's sum())
+    flips the last.
+    """
+    report = check_resonance_free(lam, 1)
+    assert report.holds is holds
+    assert report.witness == (None if holds else (1, -1, -1, 1))
+    assert report == _resonance_oracle(lam, 1)
+
+
+def test_resonance_witness_beyond_the_first_block():
+    # seven levels with one planted relation k* = (0, 1, -4, 2, 0, 3, -2) at
+    # shell 4; its prefixes (k_1..k_6) number 261910 (-k*) and 269530 (k*)
+    # of 9^6, past the first block of 1e6 // 7 = 142857
+    lam = np.random.default_rng(5).uniform(0.0, 1.0, 7)
+    lam[6] = (lam[1] - 4 * lam[2] + 2 * lam[3] + 3 * lam[5]) / 2
+    for bound in (3, 4):
+        report = check_resonance_free(lam, bound)
+        assert report.holds is (bound == 3)
+    assert report.witness == (0, 1, -4, 2, 0, 3, -2)
+
+
+@pytest.mark.parametrize("lam, witness", [
+    ((1e300, 2e300, 3e300), (1, -2, 1)),
+    ((2.0**62, 2.0**62 + 2**11, 3.0), None),
+    # 2 * 2^62 would wrap to -2^63 in int64, whose abs() is still -2^63
+    ((2.0**62, 1.0, -9.0, -1.0), None),
+])
+def test_resonance_integer_spectra_past_int64_stay_exact(lam, witness):
+    report = check_resonance_free(lam, 2)
+    assert report == ResonanceReport(holds=witness is None, witness=witness, bound=2)
+    assert report == _resonance_oracle(lam, 2)
+
+
+def test_resonance_single_level_has_no_relation():
+    for lam in ((0.0,), (3.0,), (-2.5,)):
+        assert check_resonance_free(lam, 3) == ResonanceReport(True, None, 3)

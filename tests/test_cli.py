@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,21 @@ def test_evolve_worked_example(capsys):
     np.testing.assert_allclose(norm, 3.25, atol=2e-3)
     # CSV on stdout pushes the summary to stderr
     assert "final F" in err
+
+
+def test_evolve_overflowing_norm_prints_inf_without_warning(capsys):
+    # ln(norm) ~ 832 at M = 1200: the linear norm column is inf by design
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "evolve", "--g", "1,1",
+                                 "--lambda", "0,1", "--beta", "0.7",
+                                 "--M", "1200", "--steps", "2")
+    assert code == 0
+    assert out == ("step,norm,F,w_1,w_2\n"
+                   "0,inf,-0.990210257943,0.5,0.5\n"
+                   "1,inf,-0.759532682679,0.586653685086,0.413346314915\n"
+                   "2,inf,-0.692228581874,0.614658186766,0.385341813234\n")
+    assert err == "evolve: 2 steps, final F = -0.692228581874\n"
 
 
 def test_limits_worked_example(capsys):

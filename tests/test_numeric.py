@@ -5,6 +5,7 @@ routine it replaces returns, bit for bit.
 """
 
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -59,6 +60,18 @@ def test_logsumexp_overflow_with_zero_weights_is_nan_as_in_scipy():
     got = logsumexp(a, axis=-1, b=b)
     assert math.isnan(got[0])
     assert _same(got, scipy_logsumexp(a, axis=-1, b=b))
+
+
+def test_logsumexp_denormal_weight_at_the_max_does_not_warn():
+    # m = 1e-320 makes s / m overflow to inf; log1p(inf) then gives inf
+    # where scipy's direct fallback takes over, so the value is scipy's
+    a, b = [0.0, -1.0], [1e-320, 1.0]
+    with np.errstate(over="ignore"):
+        want = scipy_logsumexp(a, b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp(a, b=b)
+    assert _same(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +183,26 @@ def test_linear_sampler_equals_scipy(data, ndim):
                                   bounds_error=False, fill_value=None)
     sample = linear_sampler(axes, values)
     for xi in (pts, pts[0]):
-        got, want = sample(xi), rgi(xi)
+        # an extrapolated point in a subnormal-width cell overflows its
+        # weights, with numpy's warning, on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = sample(xi), rgi(xi)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_linear_sampler_subnormal_cell_gives_scipys_nan_row():
+    # the weights of x = -1 in the cell [0, 5e-324] overflow to inf, and
+    # inf * 0 gives the NaN row scipy returns as well
+    axes = (np.array([0.0, 5e-324, 1.0]),)
+    values = np.zeros((3, 2))
+    pts = np.array([[-1.0], [0.5]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = RegularGridInterpolator(axes, values, method="linear",
+                                       bounds_error=False, fill_value=None)(pts)
+        got = linear_sampler(axes, values)(pts)
+    assert np.isnan(got[0]).all()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
