@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ensemble
 from ._numeric import logsumexp
-from .averaging import Spectrum
+from .averaging import Spectrum, _coerce_spectrum
 from .errors import InputError
 
 
@@ -29,9 +29,11 @@ def _support_exponents(
     g: Sequence[float], spectrum: Spectrum | Sequence[float], beta: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     g = np.asarray(g, dtype=float)
-    lam = spectrum.as_array() if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
+    lam = _coerce_spectrum(spectrum).as_array()
     if g.shape != lam.shape:
         raise InputError("g and spectrum must have equal length")
+    if not np.all(np.isfinite(g)):
+        raise InputError("g must be finite")
     if np.any(g < 0):
         raise InputError("g must be nonnegative")
     mask = g > 0
@@ -75,7 +77,7 @@ def gibbs_fixed_point(
     the asymmetry is deliberate (the two limits are taken literally) and is
     surfaced here rather than hidden.
     """
-    lam = spectrum.as_array() if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
+    lam = _coerce_spectrum(spectrum).as_array()
     if beta <= 0:
         raise InputError("beta must be > 0")
     idx = np.arange(lam.size) if support is None else np.asarray(sorted(set(support)), dtype=int)
@@ -117,6 +119,7 @@ def convergence_scan(
     if not M_list:
         raise InputError("M_list must be nonempty")
     g_arr = np.asarray(g, dtype=float)
+    spectrum = _coerce_spectrum(spectrum)
     F_lim = limit_F(g_arr, spectrum, beta, n)
     w_lim = limit_w(g_arr, spectrum, beta, n)
 

@@ -121,7 +121,12 @@ class AveragingKernel:
 
 
 def _coerce_spectrum(spectrum: Spectrum | Sequence[float]) -> Spectrum:
-    return spectrum if isinstance(spectrum, Spectrum) else Spectrum(tuple(spectrum))
+    if isinstance(spectrum, Spectrum):
+        return spectrum
+    values = np.asarray(spectrum)
+    if values.ndim != 1:
+        raise InputError("spectrum must be a 1-d sequence of level values")
+    return Spectrum(tuple(values))
 
 
 def _coerce_weights(weights: WeightVector | Sequence[float]) -> WeightVector:

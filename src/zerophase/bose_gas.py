@@ -85,6 +85,12 @@ def dispersion_lambdas(spec: DispersionSpec) -> np.ndarray:
     return lam
 
 
+def _min_gap(lam: np.ndarray) -> float:
+    # smallest distance between two distinct entries of a level vector
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    return float(np.min(gaps[~np.eye(lam.size, dtype=bool)]))
+
+
 @dataclass(frozen=True)
 class LevelSet:
     """Energy levels with specific degeneracy g and pair attraction (V, D)."""
@@ -103,8 +109,7 @@ class LevelSet:
         object.__setattr__(self, "lambdas", tuple(float(x) for x in lam))
         if not (self.g > 0 and self.V > 0 and self.D > 0):
             raise InputError("g, V, D must be positive")
-        gaps = np.abs(lam[:, None] - lam[None, :])
-        min_gap = float(np.min(gaps[~np.eye(lam.size, dtype=bool)]))
+        min_gap = _min_gap(lam)
         # width condition first: a duplicated level violates it for any D > 0
         if self.D >= min_gap:
             raise InputError("interaction width too large")
@@ -119,9 +124,7 @@ class LevelSet:
         if D is None:
             if lam.size < 2:
                 raise InputError("at least two levels are required")
-            gaps = np.abs(lam[:, None] - lam[None, :])
-            off = gaps[~np.eye(lam.size, dtype=bool)]
-            D = 0.5 * float(np.min(off))
+            D = 0.5 * _min_gap(lam)
         return cls(tuple(float(x) for x in lam), float(g), float(V), float(D))
 
     @property
@@ -322,18 +325,6 @@ def _seed_profile(levels: LevelSet, theta: float, l: int, x: float,
     return m, mu
 
 
-def _unit_defect_and_margin(levels: LevelSet, theta: float, l: int, x: float,
-                            mstar: float) -> tuple[float, float, np.ndarray, float]:
-    m, mu = _seed_profile(levels, theta, l, x, mstar)
-    defect = float(m.sum() - 1.0)
-    al = _alpha(levels, theta, x)
-    others = np.array([_alpha(levels, theta, m[n])
-                       for n in range(levels.size) if n != l])
-    with np.errstate(divide="ignore"):
-        margin = float(1.0 + al * np.sum(1.0 / others))
-    return defect, margin, m, mu
-
-
 def _golden_min(fun, a: float, b: float, tol: float) -> float:
     # golden-section minimizer; fun assumed unimodal on [a, b]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -438,7 +429,7 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
     mstar = _mstar(levels, theta)
     if mstar >= 1.0:
         if l != ground:
-            raise BranchTerminated("branch terminated", last_theta=None)
+            raise BranchTerminated("branch terminated")
         m, mu = _gas_solution(levels, theta, mstar)
         return _finalize_state(levels, theta, l, m, mu)
 
@@ -450,14 +441,14 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
     else:
         phi_l_one = lam[l] + _phi00(levels, theta, 1.0)
         if phi_l_one > mu_bound:
-            raise BranchTerminated("branch terminated", last_theta=None)
+            raise BranchTerminated("branch terminated")
         x_lo = brentq(lambda x: lam[l] + _phi00(levels, theta, x) - mu_bound,
                       mstar, 1.0, xtol=1e-15, rtol=8.9e-16)
         # keep the binding low root strictly solvable
         x_lo = min(1.0, x_lo * (1.0 + 1e-13) + 1e-300)
 
     def defect(x: float) -> float:
-        return _unit_defect_and_margin(levels, theta, l, x, mstar)[0]
+        return float(_seed_profile(levels, theta, l, x, mstar)[0].sum() - 1.0)
 
     d_hi = defect(1.0)
     if d_hi < 0:
@@ -470,27 +461,30 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
         if hint is not None and x_lo < hint < 1.0:
             # warm start: the seed fraction shrinks along the branch, so the
             # previous solution brackets the new root from above
-            if defect(min(1.0, hint * 1.0 + 1e-9)) >= 0:
-                x_start = min(1.0, hint + 1e-9)
+            x_warm = min(1.0, hint + 1e-9)
+            if defect(x_warm) >= 0:
+                x_start = x_warm
         x_min = _golden_min(defect, x_lo, x_start, tol=1e-12)
         if defect(x_min) > 0:
             if l == ground:
                 m, mu = _gas_solution(levels, theta, mstar)
                 return _finalize_state(levels, theta, l, m, mu)
-            raise BranchTerminated("branch terminated", last_theta=None)
+            raise BranchTerminated("branch terminated")
         left = x_min
 
     x_hat = brentq(defect, left, 1.0, xtol=1e-15, rtol=8.9e-16)
-    d, margin, m, mu = _unit_defect_and_margin(levels, theta, l, x_hat, mstar)
-    # Newton polish on the defect; its exact slope is the margin
+    m, mu = _seed_profile(levels, theta, l, x_hat, mstar)
+    # Newton polish on the defect; its exact slope is the stability margin
     for _ in range(4):
+        d = float(m.sum() - 1.0)
+        margin = _stability(levels, theta, l, m).margin
         if abs(d) < 1e-14 or margin <= 0:
             break
         x_new = x_hat - d / margin
         if not (x_lo <= x_new <= 1.0):
             break
         x_hat = x_new
-        d, margin, m, mu = _unit_defect_and_margin(levels, theta, l, x_hat, mstar)
+        m, mu = _seed_profile(levels, theta, l, x_hat, mstar)
     m[l] += 1.0 - m.sum()  # absorb the last sub-1e-14 defect into the seed
 
     if l == ground:
@@ -619,10 +613,13 @@ def continue_branch(levels: LevelSet, l: int,
                     theta_grid: Sequence[float]) -> ContinuationResult:
     """Track the branch over an increasing temperature grid.
 
-    Earlier solutions warm-start later ones.  When the branch dies inside
-    the grid, the death point is bisected to 1e-8 relative tolerance and
-    reported as theta_c; accepted states keep the monotonicity the branch
-    is known to have (seed fraction falls, all others rise).
+    Earlier solutions warm-start later ones; grid states must keep the
+    branch's monotonicity (seed fraction falls, all others rise).  A state
+    is alive when it solves, is stable and has a positive margin.  If the
+    branch dies inside the grid, the gap after the last live grid point is
+    bisected to 1e-8 relative: theta_c is the last live temperature, and
+    the live bisection states follow the grid states in increasing theta.
+    BranchTerminated if the branch is dead at the first grid point.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
@@ -653,8 +650,7 @@ def continue_branch(levels: LevelSet, l: int,
     if first_bad is None:
         return ContinuationResult(states=tuple(states), theta_c=None)
     if last_good is None:
-        raise BranchTerminated("branch has no solution on the given grid",
-                               last_theta=None)
+        raise BranchTerminated("branch has no solution on the given grid")
 
     lo, hi = last_good, first_bad
     hint = states[-1].m[l]
@@ -668,24 +664,11 @@ def continue_branch(levels: LevelSet, l: int,
             hint = st.m[l]
             states.append(st)
     theta_c = lo
-    # keep states sorted and unique in theta after the bisection appends
-    states.sort(key=lambda s: s.theta)
     return ContinuationResult(states=tuple(states), theta_c=float(theta_c))
 
 
 # ---------------------------------------------------------------------------
 # entropy, heat capacity, and the square-root law at the fold
-
-
-def _dm_dtheta(levels: LevelSet, state: BranchState) -> tuple[np.ndarray, float]:
-    # implicit differentiation of phi_n(m_n) = mu under sum m = 1:
-    # alpha_n m_n' + ln(m_n/(g+m_n)) = mu',  sum m' = 0
-    m = state.m_array()
-    a = state.alphas_array()
-    L = np.log(m / (levels.g + m))
-    inv = 1.0 / a
-    mu_p = np.sum(L * inv) / np.sum(inv)
-    return (mu_p - L) * inv, float(mu_p)
 
 
 @dataclass(frozen=True)
@@ -715,9 +698,12 @@ def entropy_and_capacity(levels: LevelSet,
     s = np.array([st.s for st in states])
     analytic = np.empty_like(s)
     for j, st in enumerate(states):
-        dm, _ = _dm_dtheta(levels, st)
+        # implicit differentiation of phi_n(m_n) = mu under sum m = 1:
+        # alpha_n m_n' + ln(m_n/(g+m_n)) = mu',  sum m' = 0
         m = st.m_array()
         L = np.log(m / (levels.g + m))
+        inv = 1.0 / st.alphas_array()
+        dm = (np.sum(L * inv) / np.sum(inv) - L) * inv
         idx = np.arange(levels.size) != st.l
         analytic[j] = float(np.sum(dm[idx] * (L[st.l] - L[idx])))
     fd = np.full_like(s, np.nan)

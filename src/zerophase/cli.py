@@ -25,6 +25,7 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,9 +44,12 @@ from .errors import (BranchNotFound, BranchTerminated, GuardExceeded,
 
 def _float(s: str) -> float:
     try:
-        return float(s)
+        v = float(s)
     except ValueError:
         raise InputError(f"expected a number, got {s!r}")
+    if not math.isfinite(v):
+        raise InputError(f"expected a finite number, got {s!r}")
+    return v
 
 
 def _int(s: str) -> int:
@@ -171,7 +175,6 @@ _AVG_OPTS = (
     Opt("p", _floats, help="weights (default uniform)"),
     Opt("beta", _float, 1.0, help="inverse temperature for the exponential kernel"),
     Opt("kernel", _str, "exponential", help="exponential | linear"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -192,7 +195,6 @@ def _run_avg(params: dict) -> int:
 _SPECTRUM_OPTS = (
     Opt("lambda", _floats, required=True, help="level values"),
     Opt("bound", _int, 2, help="max |k_i| searched for integer relations"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -214,7 +216,6 @@ _EVOLVE_OPTS = (
     Opt("M", _int, required=True, help="ensemble size"),
     Opt("steps", _int, required=True, help="number of evolution steps"),
     Opt("out", _str, help="CSV path (default stdout)"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -245,7 +246,6 @@ _LIMITS_OPTS = (
     Opt("n", _ints, required=True, help="step indices, comma separated"),
     Opt("M", _ints, (50, 100, 200, 400), help="ensemble sizes"),
     Opt("out", _str, help="CSV path (default stdout)"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -280,7 +280,6 @@ _BOSE_OPTS = (
                                  "(default: highest level)"),
     Opt("theta_points", _int, 48, help="points on the temperature grid"),
     Opt("out", _str, help="branch CSV path (default stdout)"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -324,7 +323,6 @@ _FLOW_OPTS = (
     Opt("flow_steps", _int, 100, help="trajectory step count"),
     Opt("out", _str, help="snapshot CSV path (default stdout)"),
     Opt("traj_out", _str, help="trajectory CSV path (default stdout)"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -379,7 +377,6 @@ _DEBT_OPTS = (
     Opt("alpha1", _float, 1.0),
     Opt("q", _float, 2.0, help="level-energy exponent"),
     Opt("out", _str, help="CSV path (default stdout)"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -442,7 +439,6 @@ _SOCIAL_OPTS = (
         help="lo,hi,count for the temperature grid"),
     Opt("sign", _str, "minus", help="entropy sign convention: minus | plus"),
     Opt("out", _str, help="CSV path (default stdout)"),
-    Opt("seed", _int, 0, help="reserved; outputs are deterministic"),
 )
 
 
@@ -492,10 +488,14 @@ _COMMANDS: dict[str, tuple] = {
 }
 
 
+# accepted by every subcommand, after its own options
+_SEED = Opt("seed", _int, 0, help="reserved; outputs are deterministic")
+
+
 def _add_opts(parser: argparse.ArgumentParser, opts: Sequence[Opt]) -> None:
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key = value file; flags override it")
-    for o in opts:
+    for o in (*opts, _SEED):
         parser.add_argument(o.flag, dest=o.name, default=None, metavar="V",
                             help=o.help or None)
 
@@ -525,7 +525,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     if "action" in ns:
         key = f"{key}.{ns['action']}"
     opts, fn, _ = _COMMANDS[key]
-    return fn(_resolve(opts, ns))
+    return fn(_resolve((*opts, _SEED), ns))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -256,7 +256,6 @@ class TwoLevelEconomy:
     N: int
     gamma_int: float
     sign_convention: str = "minus"
-    T: float | None = None
 
     def __post_init__(self) -> None:
         for name, v in (("n1", self.n1), ("n2", self.n2), ("N", self.N)):
@@ -268,8 +267,6 @@ class TwoLevelEconomy:
             raise InputError("gamma_int must lie strictly between 1 and 2")
         if self.sign_convention not in _SIGN_CONVENTIONS:
             raise InputError(f"sign_convention must be one of {_SIGN_CONVENTIONS}")
-        if self.T is not None and self.T < 0:
-            raise InputError("T must be nonnegative")
 
 
 def _energy_part(eco: TwoLevelEconomy) -> np.ndarray:

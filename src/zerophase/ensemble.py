@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import as_counts, log_factorial, logsumexp
-from .averaging import Spectrum
+from .averaging import Spectrum, _coerce_spectrum
 from .errors import GuardExceeded, InputError
 
 ORACLE_MAX_LEVELS = 4
@@ -115,7 +115,7 @@ def _class_index(M: int, l: int, occ: tuple[int, ...]) -> int:
 
 
 def _spectrum_array(spectrum: Spectrum | Sequence[float], l: int) -> np.ndarray:
-    lam = spectrum.as_array() if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
+    lam = _coerce_spectrum(spectrum).as_array()
     if lam.shape != (l,):
         raise InputError("spectrum length does not match the state level count")
     return lam
@@ -126,6 +126,8 @@ def init_product_state(g: Sequence[float], M: int) -> EnsembleState:
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise InputError("g must be a nonempty vector")
+    if not np.all(np.isfinite(g)):
+        raise InputError("g must be finite")
     if np.any(g < 0):
         raise InputError("g must be nonnegative")
     if not np.any(g > 0):

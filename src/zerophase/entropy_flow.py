@@ -228,19 +228,15 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 
-def log_gaussian_smoothing(field0: EntropyField, t: float,
-                           k: int | None = None) -> EntropyField:
+def log_gaussian_smoothing(field0: EntropyField, t: float) -> EntropyField:
     """Smoothed envelope ln[t^{-k/2} sum_xi e^{-(x-xi)^2/(2t)} e^{H0} h^k].
 
-    The soft counterpart of the max envelope; adding a constant to H0 adds
-    the same constant here, exactly.
+    k is the field dimension.  The soft counterpart of the max envelope;
+    adding a constant to H0 adds the same constant here, exactly.
     """
     if t <= 0:
         raise InputError("t must be positive")
-    if k is None:
-        k = field0.ndim
-    if k != field0.ndim:
-        raise InputError("k must equal the field dimension")
+    k = field0.ndim
     log_hk = float(np.sum(np.log(field0.spacing)))
     H = field0.H
     for d, x in enumerate(field0.axes()):

@@ -22,11 +22,4 @@ class BranchNotFound(SolverError):
 
 
 class BranchTerminated(SolverError):
-    """A metastable branch ceased to exist (fold passed).
-
-    Carries the last temperature at which the branch could still be solved.
-    """
-
-    def __init__(self, message: str, last_theta: float | None = None):
-        super().__init__(message)
-        self.last_theta = last_theta
+    """A metastable branch has no solution at the requested temperature."""

@@ -83,3 +83,20 @@ def test_kl_divergence_properties():
     assert kl_divergence(w, w) == 0.0
     rho = np.array([0.4, 0.4, 0.2])
     assert kl_divergence(w, rho) > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    lam = (0.0, bad, 1.3)
+    for call in (lambda: limit_F(G3, lam, 1.0, 2),
+                 lambda: limit_w(G3, lam, 1.0, 2),
+                 lambda: gibbs_fixed_point(lam, 1.0),
+                 lambda: convergence_scan(G3, lam, 1.0, 2, (50,))):
+        with pytest.raises(InputError, match="spectrum values must be finite"):
+            call()
+    g = (0.2, bad, 0.3)
+    for call in (lambda: limit_F(g, LAM3, 1.0, 2),
+                 lambda: limit_w(g, LAM3, 1.0, 2),
+                 lambda: convergence_scan(g, LAM3, 1.0, 2, (50,))):
+        with pytest.raises(InputError, match="g must be finite"):
+            call()

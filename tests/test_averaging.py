@@ -69,38 +69,59 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 12), beta=st.floats(0.1, 10.0),
-       C=st.floats(-100.0, 100.0))
-def test_shift_axiom_holds_to_rounding(data, n, beta, C):
+def _check_shift_axiom(lam, p, beta, C):
     """avg(lam + C) = avg(lam) + C for both admissible kernels.
 
     Exponential: the exponents -beta (lam_i + C) carry two roundings each,
     logsumexp is 1-Lipschitz in them and adds a few roundings of its own,
     and the division by beta one more: a few eps of max|lam| + |C| + |avg|;
-    the test allows 8.  Linear: the two dot products with the weights each
-    err by at most n roundings of max|lam| + |C|; the test allows
-    2 (n + 2) eps of that.  A rounding that underflows may also lose one
-    subnormal spacing, which the division by beta (exponential) or by the
-    weight total (linear) scales up when they are below 1: the _TINY
-    terms.
+    the test allows 8.  logsumexp also forms log1p(s) + log(m), m the
+    weight on the largest exponent and s the rest relative to it.  Each log
+    is within one ulp, at most eps times its size, and is not small when
+    avg is (ln 0.34375 = -1.07 and log1p = 1.16 against avg = -0.09 in the
+    fixed case below): two sides give 2 eps (|log m| + |log1p s|) / beta.
+    With P the weight total and p_min the smallest positive weight,
+    p_min <= m <= P and 0 <= log1p s <= ln(P / p_min), so |log m| +
+    |log1p s| <= 2 (|ln p_min| + |ln P|); the test allows 4 eps of that
+    over beta.  Linear: the two dot products with the weights each err by
+    at most n roundings of max|lam| + |C|; the test allows 2 (n + 2) eps of
+    that.  A rounding that underflows may also lose one subnormal spacing,
+    which the division by beta (exponential) or by the weight total
+    (linear) scales up when they are below 1: the _TINY terms.
     """
-    lam = data.draw(hnp.arrays(float, n, elements=st.floats(-100.0, 100.0)))
-    p = data.draw(hnp.arrays(float, n, elements=st.one_of(
-        st.just(0.0), st.floats(1e-3, 1.0))))
-    p[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(1e-3, 1.0))
     scale = float(np.max(np.abs(lam))) + abs(C)
+    total = float(p.sum())
+    logs = abs(math.log(float(np.min(p[p > 0])))) + abs(math.log(total))
     exp_kernel = AveragingKernel.exponential(beta)
     base = financial_average(exp_kernel, lam, p)
     shifted = financial_average(exp_kernel, lam + C, p)
-    bound = 8 * _EPS * (scale + abs(base)) + 8 * max(1.0, 1.0 / beta) * _TINY
+    bound = (8 * _EPS * (scale + abs(base)) + 4 * _EPS * logs / beta
+             + 8 * max(1.0, 1.0 / beta) * _TINY)
     assert abs(shifted - (base + C)) <= bound
     lin_kernel = AveragingKernel.linear()
     base = financial_average(lin_kernel, lam, p)
     shifted = financial_average(lin_kernel, lam + C, p)
-    k = 2 * (n + 2)
-    bound = k * _EPS * scale + k * max(1.0, 1.0 / p.sum()) * _TINY
+    k = 2 * (lam.size + 2)
+    bound = k * _EPS * scale + k * max(1.0, 1.0 / total) * _TINY
     assert abs(shifted - (base + C)) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), beta=st.floats(0.1, 10.0),
+       C=st.floats(-100.0, 100.0))
+def test_shift_axiom_holds_to_rounding(data, n, beta, C):
+    lam = data.draw(hnp.arrays(float, n, elements=st.floats(-100.0, 100.0)))
+    p = data.draw(hnp.arrays(float, n, elements=st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0))))
+    p[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(1e-3, 1.0))
+    _check_shift_axiom(lam, p, beta, C)
+
+
+def test_shift_axiom_holds_where_the_logs_dominate():
+    # error 1.665e-16: above 8 eps (max|lam| + |C| + |avg|) = 1.661e-16,
+    # inside the bound once the roundings of log(m) and log1p(s) count
+    _check_shift_axiom(np.array([-1.53011901e-105, 0.0]),
+                       np.array([0.34375, 0.75]), 1.0, 2.0 ** -8)
 
 
 def test_shift_axiom_rejects_cubic_kernel():

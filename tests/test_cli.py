@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zerophase.cli import main
+from zerophase.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -368,3 +368,36 @@ def test_bose_sweep_continues_the_branch_once(monkeypatch, capsys):
     assert out.startswith("theta,m_0,m_1,")
     assert "theta_c = " in err
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--g", "1,1", "--lambda", "nan,1"],
+    ["evolve", "--g", "nan,1", "--lambda", "0,1"],
+    ["evolve", "--g", "1,1", "--lambda", "0,1", "--beta", "nan"],
+    ["limits", "--g", "1,1", "--lambda", "0,1", "--beta", "nan", "--n", "0,1",
+     "--M", "50"],
+    ["social", "--n1", "5", "--n2", "95", "--N", "100", "--gamma", "1.5",
+     "--T-grid", "0,nan,20"],
+])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_every_subcommand_takes_seed_last(tmp_path, monkeypatch, capsys):
+    for key in _COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([*key.split("."), "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        options = re.findall(r"^  (--[\w-]+)", out, re.M)
+        assert options[-1] == "--seed", key
+    code, _, err = run_cli(capsys, "avg", "--lambda", "0,1", "--seed", "x")
+    assert code == 2 and "expected an integer" in err
+    (tmp_path / "avg.cfg").write_text("lambda = 0,1\nseed = 3\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "avg", "--config", "avg.cfg")
+    assert code == 0
+    assert out.strip() == "avg = 0.379885493042"

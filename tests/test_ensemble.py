@@ -155,6 +155,8 @@ def test_input_validation():
     with pytest.raises(InputError):
         evolve_step(state, (0.0, 1.0, 2.0), 1.0)
     with pytest.raises(InputError):
+        evolve_step(state, ((0.0, 1.0),), 1.0)
+    with pytest.raises(InputError):
         evolve_step(state, (0.0, 1.0), -1.0)
 
 
@@ -164,3 +166,17 @@ def test_tuple_oracle_guard():
         tuple_product_state((1.0, 1.0, 1.0), 20)
     with pytest.raises(GuardExceeded):
         tuple_product_state(np.ones(5), 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    lam = (bad, 1.0)
+    state = init_product_state((1.0, 1.0), 2)
+    with pytest.raises(InputError, match="finite"):
+        evolve_step(state, lam, 1.0)
+    with pytest.raises(InputError, match="finite"):
+        closed_form_log_coeff((1.0, 1.0), lam, 0.7, 2, 1, (1, 1))
+    with pytest.raises(InputError, match="finite"):
+        oracle_evolve(tuple_product_state((1.0, 1.0), 2), lam, 1.0)
+    with pytest.raises(InputError, match="g must be finite"):
+        init_product_state((bad, 1.0), 2)
