@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, SolverError
 
-_RTOL = 4 * np.finfo(float).eps
+_RTOL = 4 * float(np.finfo(float).eps)
 
 # Largest count accepted: sums of two counts stay exact in float64, so the
 # arguments of log_factorial match those the float gammaln calls had.
@@ -88,7 +88,9 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
     Raises SolverError when f(a) and f(b) share a sign, when f is NaN, and
     when maxiter iterations do not converge.
     """
-    maxiter = operator.index(maxiter)
+    # Python floats throughout: a zero step denominator then raises the
+    # ZeroDivisionError caught below, where numpy scalars would give NaN
+    xtol, rtol, maxiter = float(xtol), float(rtol), operator.index(maxiter)
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     if rtol < _RTOL:

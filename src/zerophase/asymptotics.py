@@ -21,24 +21,18 @@ import numpy as np
 
 from . import ensemble
 from ._numeric import logsumexp
-from .averaging import Spectrum, _coerce_spectrum
+from .averaging import Spectrum, _coerce_spectrum, _coerce_weights
 from .errors import InputError
 
 
 def _support_exponents(
     g: Sequence[float], spectrum: Spectrum | Sequence[float], beta: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(g, dtype=float)
+    g = _coerce_weights(g).as_array()
     lam = _coerce_spectrum(spectrum).as_array()
     if g.shape != lam.shape:
         raise InputError("g and spectrum must have equal length")
-    if not np.all(np.isfinite(g)):
-        raise InputError("g must be finite")
-    if np.any(g < 0):
-        raise InputError("g must be nonnegative")
     mask = g > 0
-    if not np.any(mask):
-        raise InputError("empty support")
     if beta <= 0:
         raise InputError("beta must be > 0")
     if n < 0:
@@ -118,13 +112,13 @@ def convergence_scan(
         raise InputError("convergence scan needs n >= 1")
     if not M_list:
         raise InputError("M_list must be nonempty")
-    g_arr = np.asarray(g, dtype=float)
+    g = _coerce_weights(g)
     spectrum = _coerce_spectrum(spectrum)
-    F_lim = limit_F(g_arr, spectrum, beta, n)
-    w_lim = limit_w(g_arr, spectrum, beta, n)
+    F_lim = limit_F(g, spectrum, beta, n)
+    w_lim = limit_w(g, spectrum, beta, n)
 
     def run_one(M: int) -> tuple[float, np.ndarray]:
-        state = ensemble.init_product_state(g_arr, M)
+        state = ensemble.init_product_state(g, M)
         for _ in range(n):
             state = ensemble.evolve_step(state, spectrum, beta)
         return ensemble.specific_free_energy(state, beta), ensemble.marginals(state)

@@ -130,7 +130,12 @@ def _coerce_spectrum(spectrum: Spectrum | Sequence[float]) -> Spectrum:
 
 
 def _coerce_weights(weights: WeightVector | Sequence[float]) -> WeightVector:
-    return weights if isinstance(weights, WeightVector) else WeightVector(tuple(weights))
+    if isinstance(weights, WeightVector):
+        return weights
+    values = np.asarray(weights)
+    if values.ndim != 1:
+        raise InputError("weights must be a 1-d sequence of level weights")
+    return WeightVector(tuple(values))
 
 
 def financial_average(

@@ -34,8 +34,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import asymptotics, averaging, bose_gas, condensation, ensemble, entropy_flow
-from .errors import (BranchNotFound, BranchTerminated, GuardExceeded,
-                     InputError, SolverError)
+from .errors import GuardExceeded, InputError, SolverError
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def _run_bose_sweep(params: dict) -> int:
         near = bose_gas.branch_points_near(levels, l, cert.theta_c, deltas)
         fit = bose_gas.singular_exponent_fit(levels, near, cert.theta_c)
         line += f", exponent_fit = {_G % fit.exponent}"
-    except (SolverError, BranchTerminated, InputError):
+    except (SolverError, InputError):
         line += ", exponent_fit = unavailable"
     _say(line, on_stdout)
     return 0
@@ -534,7 +533,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SolverError, GuardExceeded, BranchNotFound, BranchTerminated) as e:
+    except (SolverError, GuardExceeded) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
 

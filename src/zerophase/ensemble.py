@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import as_counts, log_factorial, logsumexp
-from .averaging import Spectrum, _coerce_spectrum
+from .averaging import Spectrum, _coerce_spectrum, _coerce_weights
 from .errors import GuardExceeded, InputError
 
 ORACLE_MAX_LEVELS = 4
@@ -92,15 +92,6 @@ class EnsembleState:
         idx = _class_index(self.M, self.l, tuple(occ))
         return float(np.exp(self.log_coeffs[idx]))
 
-    def coeffs_dict(self, keep_zero: bool = False) -> dict[tuple[int, ...], float]:
-        """Linear-space coefficients keyed by occupation tuple (desk scale)."""
-        out = {}
-        for occ, lc in zip(self.occupations, self.log_coeffs):
-            value = float(np.exp(lc))
-            if value > 0 or keep_zero:
-                out[tuple(int(x) for x in occ)] = value
-        return out
-
 
 @lru_cache(maxsize=64)
 def _class_index_map(M: int, l: int) -> dict[tuple[int, ...], int]:
@@ -121,25 +112,22 @@ def _spectrum_array(spectrum: Spectrum | Sequence[float], l: int) -> np.ndarray:
     return lam
 
 
-def init_product_state(g: Sequence[float], M: int) -> EnsembleState:
-    """Product state: class {M} carries coefficient prod_i g_i^{M_i}."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise InputError("g must be a nonempty vector")
-    if not np.all(np.isfinite(g)):
-        raise InputError("g must be finite")
-    if np.any(g < 0):
-        raise InputError("g must be nonnegative")
-    if not np.any(g > 0):
-        raise InputError("all-zero g: empty support")
-    if M < 1:
-        raise InputError("M must be >= 1")
-    l = g.size
-    occ = compositions(M, l)
+def _log_weight_power(g: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """ln prod_i g_i^{M_i} for each occupation row of occ; 0^0 = 1, 0^{M_i} = 0."""
+    if occ.shape[1:] != g.shape:
+        raise InputError("occupation vector needs one count per weight")
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
-        contrib = np.where(occ > 0, occ * log_g[None, :], 0.0)
-    return EnsembleState(l=l, M=M, log_coeffs=contrib.sum(axis=1), step=0)
+        return np.where(occ > 0, occ * log_g, 0.0).sum(axis=1)
+
+
+def init_product_state(g: Sequence[float], M: int) -> EnsembleState:
+    """Product state: class {M} carries coefficient prod_i g_i^{M_i}."""
+    g = _coerce_weights(g).as_array()
+    if M < 1:
+        raise InputError("M must be >= 1")
+    occ = compositions(M, g.size)
+    return EnsembleState(l=g.size, M=M, log_coeffs=_log_weight_power(g, occ), step=0)
 
 
 def evolve_step(state: EnsembleState, spectrum: Spectrum | Sequence[float], beta: float) -> EnsembleState:
@@ -162,14 +150,12 @@ def closed_form_log_coeff(
     occ: Sequence[int],
 ) -> float:
     """Log of the closed-form class coefficient after n steps."""
-    g = np.asarray(g, dtype=float)
+    g = _coerce_weights(g).as_array()
     lam = _spectrum_array(spectrum, g.size)
     occ_arr = as_counts(occ)
     if occ_arr.sum() != M:
         raise InputError("occupation vector must sum to M")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
-        base = np.where(occ_arr > 0, occ_arr * log_g, 0.0).sum()
+    base = _log_weight_power(g, occ_arr[None])[0]
     log_size = log_factorial(M) - log_factorial(occ_arr).sum()
     return float(base + n * (log_size - beta * (occ_arr @ lam)))
 
@@ -258,24 +244,24 @@ class TupleState:
 
 def tuple_product_state(g: Sequence[float], M: int) -> TupleState:
     """psi(i_1..i_M) = prod_s g_{i_s}."""
-    g = np.asarray(g, dtype=float)
+    g = _coerce_weights(g).as_array()
     # reject before the l**M outer product is materialized
     if M < 1 or M > ORACLE_MAX_SYSTEMS:
         raise GuardExceeded(f"oracle supports 1 <= M <= {ORACLE_MAX_SYSTEMS}")
-    if g.size < 1 or g.size > ORACLE_MAX_LEVELS:
+    if g.size > ORACLE_MAX_LEVELS:
         raise GuardExceeded(f"oracle supports 1 <= l <= {ORACLE_MAX_LEVELS}")
     return TupleState(reduce(np.multiply.outer, [g] * M))
 
 
 @lru_cache(maxsize=32)
-def _tuple_occupation_codes(l: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tuple class membership: (class ids aligned to compositions, counts)."""
+def _tuple_occupation_codes(l: int, M: int) -> np.ndarray:
+    """Per-tuple class ids, aligned to compositions."""
     idx = np.indices((l,) * M).reshape(M, -1)
     counts = np.stack([(idx == j).sum(axis=0) for j in range(l)], axis=1)
     index_map = _class_index_map(M, l)
     ids = np.array([index_map[tuple(int(x) for x in row)] for row in counts], dtype=np.int64)
     ids.setflags(write=False)
-    return ids, counts
+    return ids
 
 
 def _tuple_energies(l: int, M: int, lam: np.ndarray) -> np.ndarray:
@@ -291,7 +277,7 @@ def oracle_evolve(ts: TupleState, spectrum: Spectrum | Sequence[float], beta: fl
     """Literal one-step map: cool every tuple, then rebuild class-constant sums."""
     lam = _spectrum_array(spectrum, ts.l)
     cooled = ts.psi * np.exp(-beta * _tuple_energies(ts.l, ts.M, lam))
-    ids, _ = _tuple_occupation_codes(ts.l, ts.M)
+    ids = _tuple_occupation_codes(ts.l, ts.M)
     flat = cooled.reshape(-1)
     class_norms = np.bincount(ids, weights=np.abs(flat), minlength=len(compositions(ts.M, ts.l)))
     return TupleState(class_norms[ids].reshape(ts.psi.shape))
@@ -312,14 +298,14 @@ def oracle_marginal(ts: TupleState, i: int) -> float:
 def class_project(ts: TupleState, occ: Sequence[int]) -> TupleState:
     """Projector onto one occupation class (zero elsewhere)."""
     idx = _class_index(ts.M, ts.l, tuple(int(x) for x in occ))
-    ids, _ = _tuple_occupation_codes(ts.l, ts.M)
+    ids = _tuple_occupation_codes(ts.l, ts.M)
     mask = (ids == idx).reshape(ts.psi.shape)
     return TupleState(np.where(mask, ts.psi, 0.0))
 
 
 def reduce_to_classes(ts: TupleState) -> EnsembleState:
     """The data reduction R on an arbitrary dense state."""
-    ids, _ = _tuple_occupation_codes(ts.l, ts.M)
+    ids = _tuple_occupation_codes(ts.l, ts.M)
     flat = np.abs(ts.psi.reshape(-1))
     class_norms = np.bincount(ids, weights=flat, minlength=len(compositions(ts.M, ts.l)))
     with np.errstate(divide="ignore"):
@@ -331,7 +317,7 @@ def ensemble_from_tuple(ts: TupleState, step: int = 0, rtol: float = 1e-9) -> En
 
     Raises if any class carries unequal member values (not class-constant).
     """
-    ids, _ = _tuple_occupation_codes(ts.l, ts.M)
+    ids = _tuple_occupation_codes(ts.l, ts.M)
     flat = ts.psi.reshape(-1)
     n_classes = len(compositions(ts.M, ts.l))
     values = np.zeros(n_classes)

@@ -98,5 +98,5 @@ def test_non_finite_inputs_rejected(bad):
     for call in (lambda: limit_F(g, LAM3, 1.0, 2),
                  lambda: limit_w(g, LAM3, 1.0, 2),
                  lambda: convergence_scan(g, LAM3, 1.0, 2, (50,))):
-        with pytest.raises(InputError, match="g must be finite"):
+        with pytest.raises(InputError, match="weights must be finite"):
             call()

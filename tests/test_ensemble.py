@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerophase.asymptotics import convergence_scan, limit_F, limit_w
+from zerophase.averaging import AveragingKernel, financial_average
 from zerophase.ensemble import (EnsembleState, closed_form_coeff,
                                 closed_form_log_coeff, compositions,
                                 ensemble_from_tuple, evolve_step,
@@ -158,6 +160,9 @@ def test_input_validation():
         evolve_step(state, ((0.0, 1.0),), 1.0)
     with pytest.raises(InputError):
         evolve_step(state, (0.0, 1.0), -1.0)
+    for occ in ((2,), [[1, 1]]):  # one count, one row: not one per weight
+        with pytest.raises(InputError):
+            closed_form_log_coeff((1.0, 1.0), (0.0, 1.0), 0.7, 2, 1, occ)
 
 
 def test_tuple_oracle_guard():
@@ -178,5 +183,26 @@ def test_non_finite_inputs_rejected(bad):
         closed_form_log_coeff((1.0, 1.0), lam, 0.7, 2, 1, (1, 1))
     with pytest.raises(InputError, match="finite"):
         oracle_evolve(tuple_product_state((1.0, 1.0), 2), lam, 1.0)
-    with pytest.raises(InputError, match="g must be finite"):
+    with pytest.raises(InputError, match="weights must be finite"):
         init_product_state((bad, 1.0), 2)
+
+
+@pytest.mark.parametrize("g", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                               (0.0, 0.0), (), [[1.0, 1.0]]],
+                         ids=["nan", "inf", "negative", "all-zero", "empty",
+                              "2-d"])
+def test_every_route_rejects_an_invalid_weight_vector(g):
+    # the class route, its closed form and tuple oracle, the limit laws and
+    # the average all read g through averaging.WeightVector
+    lam = (0.0, 1.0)
+    for call in (lambda: init_product_state(g, 2),
+                 lambda: closed_form_log_coeff(g, lam, 0.7, 2, 1, (1, 1)),
+                 lambda: closed_form_coeff(g, lam, 0.7, 2, 1, (1, 1)),
+                 lambda: tuple_product_state(g, 2),
+                 lambda: limit_F(g, lam, 1.0, 2),
+                 lambda: limit_w(g, lam, 1.0, 2),
+                 lambda: convergence_scan(g, lam, 1.0, 2, (5,)),
+                 lambda: financial_average(AveragingKernel.exponential(1.0),
+                                           lam, g)):
+        with pytest.raises(InputError):
+            call()

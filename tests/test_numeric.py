@@ -109,6 +109,8 @@ def _outcome(solver, f, lo, hi, kwargs):
          ends=(0.0, -2.0), kwargs=_TOLERANCES[0])  # a step divides by zero
 @example(coeffs=[-0.05, 2.55, -0.1, -4.71], ends=(-2.14, 0.01),
          kwargs=dict(xtol=0.1))  # the short-step test's "- delta" decides
+@example(coeffs=[-6.436028126985004e-284, 0.0, 1e-300], ends=(0.0, 1.0),
+         kwargs={})  # default rtol: a step divides by zero
 @given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=5),
        ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
        kwargs=st.sampled_from(_TOLERANCES))
