@@ -107,8 +107,8 @@ class LevelSet:
         if not np.all(np.isfinite(lam)):
             raise InputError("levels must be finite")
         object.__setattr__(self, "lambdas", tuple(float(x) for x in lam))
-        if not (self.g > 0 and self.V > 0 and self.D > 0):
-            raise InputError("g, V, D must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.g, self.V, self.D)):
+            raise InputError("g, V, D must be finite and positive")
         min_gap = _min_gap(lam)
         # width condition first: a duplicated level violates it for any D > 0
         if self.D >= min_gap:
@@ -187,7 +187,7 @@ def _check_fractions(m: np.ndarray, size: int) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (size,):
         raise InputError("fraction vector length must match the level count")
-    if np.any(m <= 0):
+    if not np.all(m > 0):
         raise InputError("occupation fractions must be positive")
     if abs(m.sum() - 1.0) > 1e-8:
         raise InputError("occupation fractions must sum to 1")
@@ -197,8 +197,8 @@ def _check_fractions(m: np.ndarray, size: int) -> np.ndarray:
 def free_energy(levels: LevelSet, m: Sequence[float], theta: float) -> float:
     """Specific free energy of a fraction vector at temperature theta."""
     m = _check_fractions(np.asarray(m, dtype=float), levels.size)
-    if theta < 0:
-        raise InputError("theta must be nonnegative")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise InputError("theta must be finite and nonnegative")
     energy = levels.as_array() @ m - 0.5 * levels.V * np.sum(m * m)
     return float(energy - theta * specific_entropy(levels, m))
 
@@ -248,7 +248,11 @@ def _mstar(levels: LevelSet, theta: float) -> float:
     # alpha(m) = -V + theta g / (m (g+m)) vanishes here; phi increases below,
     # decreases above.
     g, V = levels.g, levels.V
-    return 0.5 * g * (math.sqrt(1.0 + 4.0 * theta / (V * g)) - 1.0)
+    mstar = 0.5 * g * (math.sqrt(1.0 + 4.0 * theta / (V * g)) - 1.0)
+    if not mstar > 0:
+        raise SolverError(f"fold fraction m* cancels to 0: 4 theta/(V g) = "
+                          f"{4.0 * theta / (V * g):.3e} is below float resolution")
+    return mstar
 
 
 def theta_upper_bound(levels: LevelSet) -> float:
@@ -343,25 +347,60 @@ def _golden_min(fun, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _gas_solution(levels: LevelSet, theta: float, mstar: float) -> tuple[np.ndarray, float]:
-    """All-low-root solution: solve sum_n m_n(mu) = 1 with every root below m*."""
+def _bordered_newton(levels: LevelSet, theta: float,
+                     m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Damped Newton on (phi_n(m_n) = mu, sum m = 1) from m; returns (m, mu).
+
+    The Jacobian is diagonal (alpha_n) plus the unit-sum border, so a step
+    costs O(K).  A trial step is accepted only when every m_n > 0 and every
+    alpha_n > 0 (all fractions on the increasing segment of phi, the gas
+    region) and the residual falls; the iteration runs until it stops
+    falling and fails unless the best residual is below 1e-12.
+    """
     lam = levels.as_array()
-    mu_top = float(lam.min()) + _phi00(levels, theta, mstar)
 
-    def total(mu: float) -> float:
-        return sum(_low_root(levels, theta, mu - lam[n], mstar)
-                   for n in range(levels.size))
+    def phi(mv: np.ndarray) -> np.ndarray:
+        return lam - levels.V * mv + theta * np.log(mv / (levels.g + mv))
 
-    if total(mu_top) < 1.0:
-        raise SolverError("gas solution does not exist at this temperature")
-    mu_lo = mu_top - max(theta, 1.0)
-    while total(mu_lo) > 1.0:
-        mu_lo -= max(theta, 1.0)
-    mu = brentq(lambda u: total(u) - 1.0, mu_lo, mu_top,
-                xtol=1e-300, rtol=8.9e-16)
-    m = np.array([_low_root(levels, theta, mu - lam[n], mstar)
-                  for n in range(levels.size)])
+    def resid_norm(mv: np.ndarray, u: float) -> float:
+        return max(float(np.max(np.abs(phi(mv) - u))), abs(float(mv.sum()) - 1.0))
+
+    mu = float(np.mean(phi(m)))
+    a = _alpha(levels, theta, m)
+    best = resid_norm(m, mu)
+    for _ in range(200):
+        r = phi(m) - mu
+        c = m.sum() - 1.0
+        inv = 1.0 / a
+        dmu = (np.sum(r * inv) - c) / np.sum(inv)
+        dm = (dmu - r) * inv
+        step = 1.0
+        for _ in range(40):
+            m_try = m + step * dm
+            if np.all(m_try > 0):
+                a_try = _alpha(levels, theta, m_try)
+                if np.all(a_try > 0):
+                    mu_try = mu + step * dmu
+                    res = resid_norm(m_try, mu_try)
+                    if res < best:
+                        m, mu, a, best = m_try, mu_try, a_try, res
+                        break
+            step *= 0.5
+        else:
+            break
+    if not best < 1e-12:
+        raise SolverError(f"fixed-point iteration did not converge "
+                          f"(residual {best:.3e})")
     return m, float(mu)
+
+
+def _gas_solution(levels: LevelSet, theta: float) -> tuple[np.ndarray, float]:
+    """All-low-root solution: the bordered Newton from the uniform fraction."""
+    # every m_n < m* and sum m = 1 need K m* > 1, i.e. alpha(1/K) > 0
+    m0 = 1.0 / levels.size
+    if _alpha(levels, theta, m0) <= 0:
+        raise SolverError("gas solution does not exist at this temperature")
+    return _bordered_newton(levels, theta, np.full(levels.size, m0))
 
 
 @dataclass(frozen=True)
@@ -414,8 +453,8 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
     lambda_n - lambda_l + V <= 0) and BranchTerminated when the branch no
     longer has a solution at this temperature.
     """
-    if theta <= 0:
-        raise InputError("theta must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise InputError("theta must be finite and positive")
     if not (0 <= l < levels.size):
         raise InputError("seed level out of range")
     lam = levels.as_array()
@@ -427,12 +466,28 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
                              f"lambda_{n} - lambda_{l} + V = {nu[n]:.12g} <= 0")
 
     mstar = _mstar(levels, theta)
-    if mstar >= 1.0:
-        if l != ground:
-            raise BranchTerminated("branch terminated")
-        m, mu = _gas_solution(levels, theta, mstar)
-        return _finalize_state(levels, theta, l, m, mu)
+    cand = (_condensate_solution(levels, theta, l, mstar, hint)
+            if mstar < 1.0 else None)
+    if l == ground:
+        # a gas minimum may coexist near the crossover; keep the lower one
+        try:
+            gas = _gas_solution(levels, theta)
+        except SolverError:
+            if cand is None:
+                raise
+        else:
+            if cand is None or (free_energy(levels, gas[0], theta)
+                                < free_energy(levels, cand[0], theta)):
+                cand = gas
+    if cand is None:
+        raise BranchTerminated("branch terminated")
+    return _finalize_state(levels, theta, l, *cand)
 
+
+def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
+                         hint: float | None) -> tuple[np.ndarray, float] | None:
+    """Seed-l condensate (m, mu) for mstar < 1; None when the branch is dead."""
+    lam = levels.as_array()
     # admissible domain of the seed fraction on [mstar, 1]
     mu_bound = float(np.delete(lam, l).min()) + _phi00(levels, theta, mstar)
     phi_l_top = lam[l] + _phi00(levels, theta, mstar)
@@ -441,7 +496,7 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
     else:
         phi_l_one = lam[l] + _phi00(levels, theta, 1.0)
         if phi_l_one > mu_bound:
-            raise BranchTerminated("branch terminated")
+            return None
         x_lo = brentq(lambda x: lam[l] + _phi00(levels, theta, x) - mu_bound,
                       mstar, 1.0, xtol=1e-15, rtol=8.9e-16)
         # keep the binding low root strictly solvable
@@ -466,10 +521,7 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
                 x_start = x_warm
         x_min = _golden_min(defect, x_lo, x_start, tol=1e-12)
         if defect(x_min) > 0:
-            if l == ground:
-                m, mu = _gas_solution(levels, theta, mstar)
-                return _finalize_state(levels, theta, l, m, mu)
-            raise BranchTerminated("branch terminated")
+            return None
         left = x_min
 
     x_hat = brentq(defect, left, 1.0, xtol=1e-15, rtol=8.9e-16)
@@ -487,16 +539,7 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
         m, mu = _seed_profile(levels, theta, l, x_hat, mstar)
     m[l] += 1.0 - m.sum()  # absorb the last sub-1e-14 defect into the seed
 
-    if l == ground:
-        # a gas minimum may coexist near the crossover; keep the lower one
-        try:
-            m_gas, mu_gas = _gas_solution(levels, theta, mstar)
-        except SolverError:
-            m_gas = None
-        if m_gas is not None:
-            if free_energy(levels, m_gas, theta) < free_energy(levels, m, theta):
-                return _finalize_state(levels, theta, l, m_gas, mu_gas)
-    return _finalize_state(levels, theta, l, m, mu)
+    return m, mu
 
 
 def solve_self_consistent(levels: LevelSet, theta: float,
@@ -505,52 +548,19 @@ def solve_self_consistent(levels: LevelSet, theta: float,
 
     Intended for the convex regime (high temperature), where the iteration
     converges from any simplex start; at low temperature the outcome depends
-    on the basin of the initial guess and the iteration may fail.
+    on the basin of the initial guess and the iteration may fail.  The same
+    iteration, started from the uniform fraction, gives the ground seed's
+    gas candidate in solve_branch.
     """
-    if theta <= 0:
-        raise InputError("theta must be positive")
-    lam = levels.as_array()
+    if not (math.isfinite(theta) and theta > 0):
+        raise InputError("theta must be finite and positive")
     m = np.asarray(m0, dtype=float)
     if m.shape != (levels.size,):
         raise InputError("initial guess length must match the level count")
-    if np.any(m <= 0):
+    if not np.all(m > 0):
         raise InputError("initial guess must be positive")
-    mstar = _mstar(levels, theta)
-    cap = 0.95 * mstar
-    m = np.clip(m, 1e-12, cap)
-
-    def phi(mv: np.ndarray) -> np.ndarray:
-        return lam - levels.V * mv + theta * np.log(mv / (levels.g + mv))
-
-    mu = float(np.mean(phi(m)))
-
-    def resid_norm(mv: np.ndarray, u: float) -> float:
-        return max(float(np.max(np.abs(phi(mv) - u))), abs(float(mv.sum()) - 1.0))
-
-    best = resid_norm(m, mu)
-    for _ in range(200):
-        if best < 1e-12:
-            break
-        r = phi(m) - mu
-        c = m.sum() - 1.0
-        a = _alpha(levels, theta, m)
-        if np.any(a <= 0):
-            raise SolverError("left the convex region; no convergence")
-        inv = 1.0 / a
-        dmu = (np.sum(r * inv) - c) / np.sum(inv)
-        dm = (dmu - r) * inv
-        step = 1.0
-        for _ in range(40):
-            m_try = np.clip(m + step * dm, 1e-14, cap)
-            mu_try = mu + step * dmu
-            if resid_norm(m_try, mu_try) < best:
-                m, mu, best = m_try, mu_try, resid_norm(m_try, mu_try)
-                break
-            step *= 0.5
-        else:
-            raise SolverError("fixed-point iteration stalled")
-    if best >= 1e-12:
-        raise SolverError("fixed-point iteration did not converge")
+    m = np.clip(m, 1e-12, 0.95 * _mstar(levels, theta))
+    m, mu = _bordered_newton(levels, theta, m)
     return FixedPoint(theta=float(theta), m=tuple(float(v) for v in m),
                       mu=float(mu))
 
@@ -597,7 +607,9 @@ class ContinuationResult:
 
 def _branch_alive(levels: LevelSet, theta: float, l: int,
                   hint: float | None) -> BranchState | None:
-    # an inadmissible seed does not depend on theta, so its cause propagates
+    # an inadmissible seed does not depend on theta, and m* grows with it (it
+    # cancels only below every live temperature), so their causes propagate
+    _mstar(levels, theta)
     try:
         st = solve_branch(levels, theta, l, hint=hint)
     except BranchNotFound:
@@ -624,8 +636,9 @@ def continue_branch(levels: LevelSet, l: int,
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
         raise InputError("theta grid must be a nonempty 1-d sequence")
-    if np.any(thetas <= 0) or np.any(np.diff(thetas) <= 0):
-        raise InputError("theta grid must be positive and increasing")
+    if not (np.all(np.isfinite(thetas)) and np.all(thetas > 0)
+            and np.all(np.diff(thetas) > 0)):
+        raise InputError("theta grid must be finite, positive and increasing")
 
     states: list[BranchState] = []
     hint = None

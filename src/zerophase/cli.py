@@ -70,6 +70,17 @@ def _str(s: str) -> str:
     return s
 
 
+def _grid_spec(values: tuple, flag: str, min_count: int) -> tuple:
+    """Check a `lo,hi,count` triple; returns (lo, hi, count) with an int count."""
+    if len(values) != 3:
+        raise InputError(f"{flag} must be lo,hi,count")
+    lo, hi, count = values
+    if not (hi > lo and float(count).is_integer() and count >= min_count):
+        raise InputError(f"{flag} needs hi > lo and an integer "
+                         f"count >= {min_count}")
+    return lo, hi, int(count)
+
+
 @dataclass(frozen=True)
 class Opt:
     name: str                      # dest and config key
@@ -222,6 +233,8 @@ def _run_evolve(params: dict) -> int:
     g, lam = params["g"], params["lambda"]
     if len(g) != len(lam):
         raise InputError("--g and --lambda must have equal length")
+    if params["steps"] < 0:
+        raise InputError("--steps must be nonnegative")
     state = ensemble.init_product_state(g, params["M"])
     header = ["step", "norm", "F"] + [f"w_{i + 1}" for i in range(len(g))]
     rows = []
@@ -312,7 +325,7 @@ def _run_bose_sweep(params: dict) -> int:
 
 
 _FLOW_OPTS = (
-    Opt("grid", _floats, required=True, help="xmin,xmax,n for the 1-d grid"),
+    Opt("grid", _floats, required=True, help="lo,hi,count for the 1-d grid"),
     Opt("h0_poly", _floats, required=True,
         help="initial field as polynomial coefficients c0,c1,c2,..."),
     Opt("t", _float, required=True, help="envelope time"),
@@ -326,13 +339,7 @@ _FLOW_OPTS = (
 
 
 def _run_flow(params: dict) -> int:
-    grid = params["grid"]
-    if len(grid) != 3:
-        raise InputError("--grid must be xmin,xmax,n")
-    xmin, xmax, n = grid
-    n = int(n)
-    if n < 3 or xmax <= xmin:
-        raise InputError("--grid needs xmax > xmin and n >= 3")
+    xmin, xmax, n = _grid_spec(params["grid"], "--grid", 3)
     spacing = (xmax - xmin) / (n - 1)
     coeffs = params["h0_poly"]
 
@@ -442,13 +449,7 @@ _SOCIAL_OPTS = (
 
 
 def _run_social(params: dict) -> int:
-    tg = params["T_grid"]
-    if len(tg) != 3:
-        raise InputError("--T-grid must be lo,hi,count")
-    lo, hi, count = tg
-    count = int(count)
-    if count < 2 or hi <= lo:
-        raise InputError("--T-grid needs hi > lo and count >= 2")
+    lo, hi, count = _grid_spec(params["T_grid"], "--T-grid", 2)
     eco = condensation.TwoLevelEconomy(n1=params["n1"], n2=params["n2"],
                                        N=params["N"],
                                        gamma_int=params["gamma"],

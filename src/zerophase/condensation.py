@@ -137,16 +137,16 @@ def _bose_factor(x: np.ndarray) -> np.ndarray:
 
 def critical_number(levels: ParetoLevels, theta: float) -> float:
     """Maximal debt count the excited levels carry at temperature theta."""
-    if theta <= 0:
-        raise InputError("theta must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise InputError("theta must be finite and positive")
     i = np.arange(1, levels.k + 1, dtype=float)
     return float(np.sum(levels.alphas() * i * _bose_factor(i ** levels.q / theta)))
 
 
 def money_at_theta(levels: ParetoLevels, theta: float) -> float:
     """Money carried by the excited levels: sum alpha_i i^q Bose(i^q/theta)."""
-    if theta <= 0:
-        raise InputError("theta must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise InputError("theta must be finite and positive")
     i = np.arange(1, levels.k + 1, dtype=float)
     e = i ** levels.q
     return float(np.sum(levels.alphas() * e * _bose_factor(e / theta)))
@@ -286,8 +286,8 @@ def _log_multiplicity(eco: TwoLevelEconomy) -> np.ndarray:
 
 def social_functional(eco: TwoLevelEconomy, T: float) -> np.ndarray:
     """E(N1) over N1 = 0..N at temperature T, per the sign convention."""
-    if T < 0:
-        raise InputError("T must be nonnegative")
+    if not (math.isfinite(T) and T >= 0):
+        raise InputError("T must be finite and nonnegative")
     e = _energy_part(eco)
     s = _log_multiplicity(eco)
     return e - T * s if eco.sign_convention == "minus" else e + T * s
@@ -317,8 +317,9 @@ def social_explosion_scan(eco: TwoLevelEconomy,
     Ts = np.asarray(T_grid, dtype=float)
     if Ts.ndim != 1 or Ts.size < 1:
         raise InputError("T grid must be a nonempty 1-d sequence")
-    if np.any(Ts < 0) or np.any(np.diff(Ts) <= 0):
-        raise InputError("T grid must be nonnegative and increasing")
+    if not (np.all(np.isfinite(Ts)) and np.all(Ts >= 0)
+            and np.all(np.diff(Ts) > 0)):
+        raise InputError("T grid must be finite, nonnegative and increasing")
     e = _energy_part(eco)
     s = _log_multiplicity(eco)
     sign = -1.0 if eco.sign_convention == "minus" else 1.0

@@ -15,7 +15,11 @@ from zerophase.bose_gas import (DispersionSpec, LevelSet, RESIDUAL_TOL,
                                 singular_exponent_fit, solve_branch,
                                 solve_self_consistent, specific_entropy,
                                 stability_check, theta_upper_bound,
-                                zeroth_order_certificate, _mstar)
+                                zeroth_order_certificate, _gas_solution,
+                                _mstar)
+from zerophase.condensation import (ParetoLevels, TwoLevelEconomy,
+                                    critical_number, money_at_theta,
+                                    social_explosion_scan, social_functional)
 from zerophase.errors import (BranchNotFound, BranchTerminated, InputError,
                               SolverError)
 
@@ -203,6 +207,169 @@ def test_high_temperature_unique_and_near_softmax():
     soft = np.exp(-lv.as_array() / theta)
     soft /= soft.sum()
     assert np.abs((np.asarray(sols[0]) - soft) / soft).max() < 1e-3
+
+
+def _bisection_gas_states(instances):
+    """Gas states of (lambdas, g, V, theta) instances by nested bisection.
+
+    The low root of phi00(m) = mu - lambda_n, with the target clamped to
+    phi00(m*), is bisected in ln m over (0, m*); mu is bisected on the unit
+    sum.  A gas state exists when the sum reaches 1 at min lambda +
+    phi00(m*).  All instances are solved at once, one array entry per
+    level; returns one m array, or None, per instance.
+    """
+    lam = np.concatenate([np.asarray(x[0], dtype=float) for x in instances])
+    owner = np.repeat(np.arange(len(instances)), [len(x[0]) for x in instances])
+    g, V, theta = (np.array([x[k] for x in instances], dtype=float)
+                   for k in (1, 2, 3))
+    mstar = 0.5 * g * (np.sqrt(1.0 + 4.0 * theta / (V * g)) - 1.0)
+
+    def phi00(m, i):
+        return -V[i] * m + theta[i] * np.log(m / (g[i] + m))
+
+    top = phi00(mstar, np.arange(len(instances)))
+
+    def low_roots(mu):
+        target = np.minimum(mu[owner] - lam, top[owner])
+        lo = np.full(lam.size, math.log(1e-300))
+        hi = np.log(mstar)[owner]
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = phi00(np.exp(mid), owner) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return np.exp(0.5 * (lo + hi))
+
+    def total(mu):
+        return np.bincount(owner, weights=low_roots(mu))
+
+    lam_min = np.array([min(x[0]) for x in instances])
+    mu_hi = lam_min + top
+    exists = total(mu_hi) >= 1.0
+    # every m_n < (g+1) exp((mu - lambda_n + V)/theta), so the sum is below 1
+    mu_lo = lam_min - V - theta * np.log(2.0 * owner.size * (g + 1.0))
+    for _ in range(100):
+        mid = 0.5 * (mu_lo + mu_hi)
+        over = total(mid) > 1.0
+        mu_hi, mu_lo = np.where(over, mid, mu_hi), np.where(over, mu_lo, mid)
+    m = low_roots(0.5 * (mu_lo + mu_hi))
+    return [m[owner == i] if exists[i] else None for i in range(len(instances))]
+
+
+def _gas_instances():
+    # (levels, theta) with lambda_min != 0 for every other instance
+    rng = np.random.default_rng(812)
+    out = []
+
+    def levels(K):
+        lam = np.sort(rng.uniform(0.0, 10 ** rng.uniform(-2, 0.5), K))
+        if len(out) % 2:
+            lam += rng.uniform(-5.0, 5.0)
+        return LevelSet.from_values(lam, 10 ** rng.uniform(-1, 1),
+                                    rng.uniform(0.5, 4.0))
+
+    # both sides of the metastability bound
+    for _ in range(120):
+        lv = levels(int(rng.integers(2, 33)))
+        out.append((lv, theta_upper_bound(lv) * rng.uniform(0.02, 3.0)))
+    # K m* just above 1, where the gas state stops existing
+    for _ in range(60):
+        K = int(rng.integers(2, 33))
+        lv = levels(K)
+        ms = (1.0 + 10 ** rng.uniform(-6, 0)) / K
+        out.append((lv, lv.V * ms * (lv.g + ms) / lv.g))
+    # gas states built with the ground fraction at 0.9-0.999 of m*
+    for _ in range(80):
+        K = int(rng.integers(2, 33))
+        g, V = 10 ** rng.uniform(-1, 1), rng.uniform(0.5, 4.0)
+        s = (1.0 + rng.uniform(0.05, 1.0)) / K
+        mstar = s / rng.uniform(0.9, 0.999)
+        theta = V * mstar * (g + mstar) / g
+        q = s * (K - 1) / (1.0 - s)  # > 1: room for the others below s
+        eps = rng.uniform(-1.0, 1.0, K - 1) * min(0.5, 0.4 * (q - 1.0))
+        m = np.concatenate([[s], (1.0 - s) / (K - 1) * (1.0 + eps - eps.mean())])
+        phi00 = -V * m + theta * np.log(m / (g + m))
+        lam = rng.uniform(-5.0, 5.0) + phi00[0] - phi00
+        out.append((LevelSet.from_values(lam, g, V), theta))
+    return out
+
+
+def test_gas_candidate_matches_nested_bisection():
+    cases = _gas_instances()
+    want = _bisection_gas_states([(lv.lambdas, lv.g, lv.V, theta)
+                                  for lv, theta in cases])
+    found, below_bound, shifted, top_ratio = 0, 0, 0, 0.0
+    for (lv, theta), m_ref in zip(cases, want):
+        try:
+            m, _ = _gas_solution(lv, theta)
+        except SolverError:
+            m = None
+        assert (m is None) == (m_ref is None), (lv, theta)
+        if m is None:
+            continue
+        assert np.max(np.abs(m - m_ref)) < 1e-10, (lv, theta)
+        found += 1
+        below_bound += theta < theta_upper_bound(lv)
+        shifted += min(lv.lambdas) != 0.0
+        top_ratio = max(top_ratio, float(np.max(m)) / _mstar(lv, theta))
+    # coverage: both outcomes, both sides of the bound, states near m*
+    assert 100 < found < len(cases) - 40
+    assert below_bound > 80 and found - below_bound > 40 and shifted > 80
+    assert top_ratio > 0.99
+
+
+def test_ground_gas_state_where_the_top_target_rounds_up():
+    # 1.1 x theta_upper_bound, so the problem is convex; a nested search
+    # whose top target (min lambda + phi00(m*)) - lambda_0 rounds above
+    # phi00(m*) finds no root there
+    lv = LevelSet.from_values((0.27, 1.27), 1.0, 2.0)
+    st = solve_branch(lv, 4.4, 0)
+    [m_ref] = _bisection_gas_states([(lv.lambdas, lv.g, lv.V, 4.4)])
+    np.testing.assert_allclose(st.m, m_ref, atol=1e-12)
+    np.testing.assert_allclose(st.m, (0.62358, 0.37642), atol=1e-5)
+    assert hartree_residual(st, lv) < 1e-14
+
+
+NAN, INF = float("nan"), float("inf")
+_PARETO = ParetoLevels(gamma=1.5, k=10)
+_ECONOMY = TwoLevelEconomy(n1=5, n2=95, N=100, gamma_int=1.5)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: continue_branch(LV, 1, [0.1, NAN, 0.3]),
+                 InputError, "finite", id="grid-nan"),
+    pytest.param(lambda: continue_branch(LV, 1, [0.1, 0.2, INF]),
+                 InputError, "finite", id="grid-inf"),
+    pytest.param(lambda: solve_branch(LV, INF, 1),
+                 InputError, "finite", id="branch-inf"),
+    pytest.param(lambda: solve_branch(LV, NAN, 0),
+                 InputError, "finite", id="branch-nan"),
+    pytest.param(lambda: solve_self_consistent(LV, INF, (0.5, 0.5)),
+                 InputError, "finite", id="fixed-point-inf"),
+    pytest.param(lambda: solve_self_consistent(LV, 5.0, (NAN, 0.5)),
+                 InputError, "positive", id="fixed-point-nan-guess"),
+    pytest.param(lambda: free_energy(LV, (0.5, 0.5), NAN),
+                 InputError, "finite", id="free-energy-nan"),
+    pytest.param(lambda: free_energy(LV, (NAN, 0.5), 1.0),
+                 InputError, "positive", id="fractions-nan"),
+    pytest.param(lambda: LevelSet.from_values((0.0, 1.0), INF, 2.0),
+                 InputError, "finite", id="levels-inf-g"),
+    pytest.param(lambda: LevelSet.from_values((0.0, 1.0), 1.0, INF),
+                 InputError, "finite", id="levels-inf-V"),
+    pytest.param(lambda: solve_branch(LevelSet.from_values((0.0, 1.0), 1e20,
+                                                           2.0), 0.5, 1),
+                 SolverError, "m\\* cancels", id="mstar-cancels"),
+    pytest.param(lambda: critical_number(_PARETO, NAN),
+                 InputError, "finite", id="critical-number-nan"),
+    pytest.param(lambda: money_at_theta(_PARETO, INF),
+                 InputError, "finite", id="money-inf"),
+    pytest.param(lambda: social_functional(_ECONOMY, NAN),
+                 InputError, "finite", id="social-nan"),
+    pytest.param(lambda: social_explosion_scan(_ECONOMY, [0.0, 1.0, NAN]),
+                 InputError, "finite", id="social-grid-nan"),
+])
+def test_non_finite_and_extreme_inputs_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_scan_oracle_locates_both_minima():

@@ -401,3 +401,57 @@ def test_every_subcommand_takes_seed_last(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "avg", "--config", "avg.cfg")
     assert code == 0
     assert out.strip() == "avg = 0.379885493042"
+
+
+# Each integer option, and the count slot of each lo,hi,count grid, probed
+# at -1, 0, 1 and 2.5; "{}" marks the probed slot of a quick valid command.
+_INTEGER_PROBES = [
+    ["spectrum", "check", "--lambda", "1,2,3", "--bound={}"],
+    ["evolve", "--g", "1,1", "--lambda", "0,1", "--M={}", "--steps", "3"],
+    ["evolve", "--g", "1,1", "--lambda", "0,1", "--M", "4", "--steps={}"],
+    ["limits", "--g", "1,1", "--lambda", "0,1", "--n={}", "--M", "50"],
+    ["limits", "--g", "1,1", "--lambda", "0,1", "--n", "1", "--M={}"],
+    ["bose", "sweep", "--levels", "0,1", "--V", "2", "--g", "1",
+     "--theta-points", "8", "--seed-level={}"],
+    ["bose", "sweep", "--levels", "0,1", "--V", "2", "--g", "1",
+     "--theta-points={}"],
+    ["flow", "--grid=-1,1,11", "--h0-poly", "0,0,-1", "--t", "0.5",
+     "--x0", "0.1", "--flow-steps={}"],
+    ["flow", "--grid=-1,1,{}", "--h0-poly", "0,0,-1", "--t", "0.5"],
+    ["debt", "--ledger", "ledger.txt", "--sigma-avg", "2", "--theta", "1",
+     "--k={}"],
+    ["social", "--n1={}", "--n2", "95", "--N", "100", "--gamma", "1.5",
+     "--T-grid", "0,2,20"],
+    ["social", "--n1", "5", "--n2={}", "--N", "100", "--gamma", "1.5",
+     "--T-grid", "0,2,20"],
+    ["social", "--n1", "5", "--n2", "95", "--N={}", "--gamma", "1.5",
+     "--T-grid", "0,2,20"],
+    ["social", "--n1", "5", "--n2", "95", "--N", "100", "--gamma", "1.5",
+     "--T-grid=0,2,{}"],
+]
+
+
+def test_integer_options_at_their_boundaries(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ledger.txt").write_text("position, 100, 2.0\n")
+    monkeypatch.chdir(tmp_path)
+    bad = []
+    for probe in _INTEGER_PROBES:
+        for value in ("-1", "0", "1", "2.5"):
+            argv = [arg.format(value) for arg in probe]
+            try:
+                code = main(argv)
+            except Exception as e:  # every failure must map to an exit code
+                bad.append((argv, repr(e)))
+                continue
+            if code not in (0, 2, 3) or (value == "2.5" and code == 0):
+                bad.append((argv, code))
+    capsys.readouterr()
+    assert bad == []
+
+
+def test_bose_sweep_names_a_cancelled_fold_fraction(capsys):
+    # 4 theta/(V g) is below the float resolution of 1 on the whole grid
+    code, out, err = run_cli(capsys, "bose", "sweep", "--levels", "0,1",
+                             "--V", "2", "--g", "1e20")
+    assert code == 3 and out == ""
+    assert err.startswith("solver failure: fold fraction m* cancels")

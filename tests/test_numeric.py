@@ -81,8 +81,8 @@ def test_logsumexp_denormal_weight_at_the_max_does_not_warn():
 # short enough to run out
 _TOLERANCES = [
     dict(xtol=1e-300, rtol=8.9e-16, maxiter=200),  # bose_gas._low_root
-    dict(xtol=1e-300, rtol=8.9e-16),               # bose_gas._gas_solution
-    dict(xtol=1e-15, rtol=8.9e-16),                # bose_gas.solve_branch
+    dict(xtol=1e-300, rtol=8.9e-16),               # _low_root's, default cap
+    dict(xtol=1e-15, rtol=8.9e-16),                # bose_gas._condensate_solution
     dict(rtol=8.9e-16, maxiter=200),               # condensation.n0_of_money
     dict(),
     dict(xtol=0.1),  # coarse: delta then steers the step rules
