@@ -276,8 +276,14 @@ def _alpha(levels: LevelSet, theta: float, m: float | np.ndarray):
 
 def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> float:
     """Solve phi00(m) = target on the increasing segment (0, mstar]."""
-    g = levels.g
-    top = _phi00(levels, theta, mstar)
+    # _phi00 and _alpha inlined with the same float operations: this is the
+    # innermost loop of every branch solve
+    g, neg_V, log = levels.g, -levels.V, math.log
+
+    def phi(m: float) -> float:
+        return neg_V * m + theta * log(m / (g + m))
+
+    top = phi(mstar)
     if target > top:
         raise SolverError("no root on the increasing segment")
     if target == top:
@@ -290,23 +296,27 @@ def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> fl
         raise SolverError("occupation underflow; temperature too low to track")
     if guess < 0.01 * mstar:
         lo, hi = 0.25 * guess, min(8.0 * guess, mstar)
-        while _phi00(levels, theta, hi) < target:
+        while phi(hi) < target:
             hi = min(hi * 8.0, mstar)
             if hi == mstar:
                 break
     else:
         lo, hi = min(guess * 0.5, 0.5 * mstar), mstar
     lo = max(lo, 5e-324)
-    while _phi00(levels, theta, lo) > target:
+    # lo/(g+lo) can round to 0, where the log is undefined
+    while lo / (g + lo) == 0.0 or phi(lo) > target:
         lo *= 0.25
         if lo < 1e-320:
             raise SolverError("low-root bracketing failed")
-    m = brentq(lambda x: _phi00(levels, theta, x) - target, lo, hi,
+    m = brentq(lambda x: phi(x) - target, lo, hi,
                xtol=1e-300, rtol=8.9e-16, maxiter=200)
     # Newton polish; alpha is the exact derivative of phi00 here.
     for _ in range(3):
-        r = _phi00(levels, theta, m) - target
-        a = _alpha(levels, theta, m)
+        r = phi(m) - target
+        den = m * (g + m)
+        if den == 0.0:
+            break  # alpha is +inf: the step would be 0
+        a = neg_V + theta * g / den
         if a <= 0:
             break
         step = r / a
@@ -319,14 +329,11 @@ def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> fl
 def _seed_profile(levels: LevelSet, theta: float, l: int, x: float,
                   mstar: float) -> tuple[np.ndarray, float]:
     """All low-segment roots given the seed fraction m_l = x; returns (m, mu)."""
-    lam = levels.as_array()
+    lam = levels.lambdas
     mu = lam[l] + _phi00(levels, theta, x)
-    m = np.empty(levels.size)
-    m[l] = x
-    for n in range(levels.size):
-        if n != l:
-            m[n] = _low_root(levels, theta, mu - lam[n], mstar)
-    return m, mu
+    m = [x if n == l else _low_root(levels, theta, mu - lam_n, mstar)
+         for n, lam_n in enumerate(lam)]
+    return np.array(m), mu
 
 
 def _golden_min(fun, a: float, b: float, tol: float) -> float:
@@ -502,8 +509,17 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
         # keep the binding low root strictly solvable
         x_lo = min(1.0, x_lo * (1.0 + 1e-13) + 1e-300)
 
+    # brentq re-evaluates its bracket ends, and the polish starts from its
+    # last point: each seed fraction is profiled once
+    profiles: dict[float, tuple[np.ndarray, float]] = {}
+
+    def profile(x: float) -> tuple[np.ndarray, float]:
+        if x not in profiles:
+            profiles[x] = _seed_profile(levels, theta, l, x, mstar)
+        return profiles[x]
+
     def defect(x: float) -> float:
-        return float(_seed_profile(levels, theta, l, x, mstar)[0].sum() - 1.0)
+        return float(profile(x)[0].sum() - 1.0)
 
     d_hi = defect(1.0)
     if d_hi < 0:
@@ -525,7 +541,7 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
         left = x_min
 
     x_hat = brentq(defect, left, 1.0, xtol=1e-15, rtol=8.9e-16)
-    m, mu = _seed_profile(levels, theta, l, x_hat, mstar)
+    m, mu = profile(x_hat)
     # Newton polish on the defect; its exact slope is the stability margin
     for _ in range(4):
         d = float(m.sum() - 1.0)
@@ -536,7 +552,7 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
         if not (x_lo <= x_new <= 1.0):
             break
         x_hat = x_new
-        m, mu = _seed_profile(levels, theta, l, x_hat, mstar)
+        m, mu = profile(x_hat)
     m[l] += 1.0 - m.sum()  # absorb the last sub-1e-14 defect into the seed
 
     return m, mu
@@ -605,6 +621,62 @@ class ContinuationResult:
     theta_c: float | None
 
 
+def _fold_theta(levels: LevelSet, st: BranchState) -> float | None:
+    """Fold temperature of st's branch by Newton on the extended system.
+
+    Unknowns (m, mu, theta), equations phi_n(m_n) = mu, sum m = 1 and
+    margin = 0, the last of which is regular at the fold where the
+    fixed-theta system is singular (Keller 1977).  The Jacobian is diag(alpha)
+    with a mu column, a theta column ln(m/(g+m)), the unit-sum row and the
+    margin row; eliminating the diagonal leaves a 2x2 system in (dmu, dtheta),
+    so a step costs O(K).  Returns None unless the residual reaches 1e-12 at
+    a point with every m > 0 and alpha_l < 0 < alpha_n for n != l where the
+    unit-sum defect D(x) of the seed fraction x has a minimum (D'' > 0).
+    That is where the branch's stable root dies as theta rises: the alpha
+    signs give m_l > m* > m_n, so D rises with theta there.
+    """
+    lam = levels.as_array()
+    g, V, l = levels.g, levels.V, st.l
+    others = np.arange(levels.size) != l
+    m, mu, theta = st.m_array(), st.mu, st.theta
+    for _ in range(50):
+        ln_ratio = np.log(m / (g + m))
+        q = g / (m * (g + m))  # d alpha / d theta
+        a = -V + theta * q
+        inv = 1.0 / a
+        s = float(np.sum(inv[others]))
+        F = lam - V * m + theta * ln_ratio - mu
+        c = float(m.sum() - 1.0)
+        margin = 1.0 + a[l] * s
+        # margin row: d margin/dm_n and d margin/dtheta, with
+        # d alpha/dm = -theta q (g + 2m)/(m (g+m))
+        da_dm = -theta * q * (g + 2.0 * m) / (m * (g + m))
+        row = -a[l] * da_dm * inv * inv
+        row[l] = da_dm[l] * s
+        d_theta = q[l] * s - a[l] * float(np.sum((q * inv * inv)[others]))
+        # dm = inv (dmu - F - ln_ratio dtheta); the unit-sum and margin rows
+        # then give A (dmu, dtheta) = b
+        u, w = inv * F, inv * ln_ratio
+        a11, a12, b1 = inv.sum(), -w.sum(), u.sum() - c
+        a21, a22, b2 = row @ inv, d_theta - row @ w, row @ u - margin
+        if max(float(np.max(np.abs(F))), abs(c), abs(margin)) <= 1e-12:
+            # along the seed fraction dm_n/dx = alpha_l/alpha_n, so
+            # D'' = alpha_l (row . 1/alpha) = alpha_l a21
+            ok = (np.all(m > 0) and a[l] < 0 and np.all(a[others] > 0)
+                  and a[l] * a21 > 0)
+            return float(theta) if ok else None
+        det = a11 * a22 - a12 * a21
+        if not (math.isfinite(det) and det != 0):
+            return None
+        dmu = (b1 * a22 - a12 * b2) / det
+        dth = (a11 * b2 - a21 * b1) / det
+        m = m + inv * (dmu - F - ln_ratio * dth)
+        mu, theta = mu + dmu, theta + dth
+        if not (np.all(m > 0) and theta > 0):
+            return None
+    return None
+
+
 def _branch_alive(levels: LevelSet, theta: float, l: int,
                   hint: float | None) -> BranchState | None:
     # an inadmissible seed does not depend on theta, and m* grows with it (it
@@ -667,9 +739,17 @@ def continue_branch(levels: LevelSet, l: int,
 
     lo, hi = last_good, first_bad
     hint = states[-1].m[l]
+    # past its fold the branch is dead, so midpoints clear of the fold by
+    # more than the defect's rounding need no solve; the midpoints and the
+    # hint chain stay those of the plain bisection.  Not for the ground
+    # seed: its defect has a second minimum at the edge x = m* (margin 1
+    # there), whose root can outlive the fold and is then the one solved.
+    theta_f = _fold_theta(levels, states[-1]) if l != levels.ground else None
+    dead_above = (theta_f * (1.0 + 1e-9)
+                  if theta_f is not None and lo < theta_f < hi else math.inf)
     while (hi - lo) > 1e-8 * hi:
         mid = 0.5 * (lo + hi)
-        st = _branch_alive(levels, mid, l, hint)
+        st = None if mid > dead_above else _branch_alive(levels, mid, l, hint)
         if st is None:
             hi = mid
         else:

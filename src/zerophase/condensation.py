@@ -279,9 +279,14 @@ def _log_multiplicity(eco: TwoLevelEconomy) -> np.ndarray:
     N, a, b = int(eco.N), int(eco.n1), int(eco.n2)
     n1 = np.arange(N + 1)
     n2 = N - n1
-    lf = log_factorial(n1)
-    return (log_factorial(n1 + a - 1) - log_factorial(a - 1) - lf
-            + log_factorial(n2 + b - 1) - log_factorial(b - 1) - lf[n2])
+    # one log_factorial table over the union of the three argument runs,
+    # which overlap for every economy of interest; lf_a[0] = ln (a-1)! and
+    # lf_b[-1] = ln (b-1)!
+    args = np.concatenate((n1, n1 + a - 1, n2 + b - 1))
+    uniq, where = np.unique(args, return_inverse=True)
+    lf, lf_a, lf_b = np.split(log_factorial(uniq)[where], 3)
+    return (lf_a - lf_a[0] - lf
+            + lf_b - lf_b[-1] - lf[n2])
 
 
 def social_functional(eco: TwoLevelEconomy, T: float) -> np.ndarray:

@@ -26,6 +26,8 @@ definitions literally and certifies the class reduction.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -40,23 +42,28 @@ ORACLE_MAX_LEVELS = 4
 ORACLE_MAX_SYSTEMS = 8
 
 
-@lru_cache(maxsize=64)
+# a layout is up to a few MB; a scan over many ensemble sizes would otherwise
+# keep every one of them
+@lru_cache(maxsize=8)
 def _class_layout(M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupation vectors (lexicographic) and their log class sizes.
 
     Returns (occupations, log_sizes) with occupations of shape (n_classes, l)
     and log_sizes[i] = ln(M! / prod_j M_ij!).
     """
-
-    def gen(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in gen(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    occ = np.array(list(gen(M, l)), dtype=np.int64).reshape(-1, l)
+    if l == 1:
+        occ = np.array([[M]], dtype=np.int64)
+    else:
+        # stars and bars: l - 1 bars among M + l - 1 slots, in the
+        # lexicographic order of combinations; the gaps between bars are
+        # the occupations, in lexicographic order too
+        slots = M + l - 1
+        bars = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(slots), l - 1)),
+            dtype=np.int64, count=math.comb(slots, l - 1) * (l - 1)).reshape(-1, l - 1)
+        edges = np.empty((bars.shape[0], l + 1), dtype=np.int64)
+        edges[:, 0], edges[:, 1:-1], edges[:, -1] = -1, bars, slots
+        occ = np.diff(edges, axis=1) - 1
     lf = log_factorial(np.arange(M + 1))
     log_sizes = lf[M] - lf[occ].sum(axis=1)
     occ.setflags(write=False)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from zerophase import bose_gas
 from zerophase.bose_gas import (DispersionSpec, LevelSet, RESIDUAL_TOL,
                                 branch_points_near, build_levels,
                                 continue_branch, discrete_energy,
@@ -372,6 +373,27 @@ def test_non_finite_and_extreme_inputs_raise_typed_errors(call, error, match):
         call()
 
 
+@pytest.mark.parametrize("lam, g, V, l", [
+    # the low root's bracket end lo/(g+lo) rounds to 0, where the log is
+    # undefined
+    ((0.1284276790234642, 0.48014595134485405, 0.5366912365444099,
+      0.7748193460357062, 0.8280057181830378, 1.2330535823504953,
+      1.8662973824995615), 6.133082156713804, 3.3337671845339676, 5),
+    # a denormal low root makes m (g+m) round to 0 in the polish
+    ((0.33759066563222384, 0.39792688998811854, 0.927484893309193,
+      1.0144678470872448, 1.138058742469417, 1.3155071199356307,
+      1.6413197864478544, 1.88891672523932), 0.37742688323744716,
+     0.57216900432707, 0),
+])
+def test_low_root_underflow_raises_solver_error(lam, g, V, l):
+    lv = LevelSet.from_values(lam, g, V)
+    theta = 1e-3 * theta_upper_bound(lv)
+    with pytest.raises(SolverError):
+        solve_branch(lv, theta, l)
+    with pytest.raises(BranchTerminated):
+        continue_branch(lv, l, np.geomspace(theta, 1000 * theta, 42))
+
+
 def test_scan_oracle_locates_both_minima():
     st1 = solve_branch(LV, 0.2, 1)
     st0 = solve_branch(LV, 0.2, 0)
@@ -406,6 +428,150 @@ def test_continuation_is_monotone_and_warm_start_consistent():
     # a cold solve at a grid point reproduces the warm-started state
     cold = solve_branch(LV, float(cont.states[5].theta), 1)
     np.testing.assert_allclose(cold.m, cont.states[5].m, rtol=1e-9)
+
+
+def _certificate_grid(lv: LevelSet) -> np.ndarray:
+    hi = theta_upper_bound(lv)
+    return np.geomspace(1e-3 * hi, hi, 48)
+
+
+def _bench_levels(seed: int, K: int) -> LevelSet:
+    # the jittered levels of the benchmark's bose_levels ops, drawn for
+    # K = 2, 8 and 32 in turn from one generator
+    rng = np.random.default_rng(seed)
+    for k in (2, 8, 32):
+        lam = np.linspace(0.0, 1.0, k)
+        lam[1:] += rng.uniform(-0.25, 0.25, k - 1) / (k - 1)
+        if k == K:
+            return LevelSet.from_values(lam, 1.0, 2.0)
+    raise ValueError(K)
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except Exception as exc:  # the outcome compared may be any error
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_fold_matches_two_level_closed_form():
+    # with m = (1 - x, x), stationarity gives theta(x) in closed form; the
+    # fold is its maximum
+    def theta_of(x: float) -> float:
+        return ((1.0 + 2.0 * (1.0 - 2.0 * x))
+                / (math.log((1.0 - x) / (2.0 - x)) - math.log(x / (1.0 + x))))
+
+    x_f, theta_c = 0.9114911521612524, 0.3651777849841649
+    assert abs(theta_of(x_f) - theta_c) <= 2 * math.ulp(theta_c)
+    assert theta_of(x_f - 1e-6) < theta_c and theta_of(x_f + 1e-6) < theta_c
+    # from the last live point of the certificate grid
+    grid = _certificate_grid(LV)
+    start = solve_branch(LV, float(grid[grid < theta_c][-1]), 1)
+    assert abs(bose_gas._fold_theta(LV, start) - theta_c) <= 4 * math.ulp(theta_c)
+
+
+@pytest.mark.parametrize("K", [2, 8, 32])
+def test_bisection_solves_no_midpoint_past_the_fold(K, monkeypatch):
+    """The benchmark's certificate continuations, seeds 0-9: the fold is
+    accepted, the bisected theta_c lies below it by less than 1e-8
+    relative, every solved temperature below it is alive and every one
+    above it dead, and the only solve past the 1e-9 band is the first dead
+    grid point."""
+    calls, folds = [], []
+    alive, fold = bose_gas._branch_alive, bose_gas._fold_theta
+
+    def record_alive(levels, theta, l, hint):
+        st = alive(levels, theta, l, hint)
+        calls.append((theta, st is not None))
+        return st
+
+    def record_fold(levels, st):
+        folds.append(fold(levels, st))
+        return folds[-1]
+
+    monkeypatch.setattr(bose_gas, "_branch_alive", record_alive)
+    monkeypatch.setattr(bose_gas, "_fold_theta", record_fold)
+    for seed in range(10):
+        lv = _bench_levels(seed, K)
+        grid = _certificate_grid(lv)
+        calls.clear()
+        folds.clear()
+        cont = continue_branch(lv, K - 1, grid)
+        (theta_f,) = folds
+        assert 0 < (theta_f - cont.theta_c) / theta_f < 1e-8, seed
+        assert all(ok == (theta < theta_f) for theta, ok in calls), seed
+        first_dead = next(theta for theta, ok in calls if not ok)
+        assert first_dead in grid
+        past = [theta for theta, _ in calls if theta > theta_f * (1 + 1e-9)]
+        assert past == [first_dead], seed
+
+
+# a ground branch that passes a fold near theta 1.40601 and lives on to
+# 1.45475 on the root by the edge x = m*
+GROUND_PAST_FOLD = (LevelSet.from_values(
+    (1.1826693154335388, 1.1924710387349582, 1.3216946919518107,
+     1.4401362041943608), 0.4172575722024908, 2.375229430097366), 0, 38)
+
+
+def test_ground_branch_can_outlive_a_fold():
+    lv, l, n = GROUND_PAST_FOLD
+    hi = theta_upper_bound(lv)
+    grid = np.geomspace(1e-3 * hi, hi, n)
+    cont = continue_branch(lv, l, grid)
+    assert cont.theta_c == pytest.approx(1.4547547811685053, rel=1e-12)
+    last_grid = [st for st in cont.states if st.theta in grid][-1]
+    theta_f = bose_gas._fold_theta(lv, last_grid)
+    assert last_grid.theta < theta_f < 0.97 * cont.theta_c
+
+
+def test_fold_solve_rejects_a_maximum_of_the_defect():
+    # from this ground branch's last live grid state (theta 1.0027) the
+    # Newton converges near theta 1.08205 to a maximum of the unit-sum
+    # defect, where two roots left of the branch meet; the branch itself
+    # lives on to 1.12594
+    lv = LevelSet.from_values(
+        (0.4657689209030833, 0.5257956933246726, 0.5884146898111358,
+         0.6131237967324228, 1.3782185638140119, 1.6414356462311808),
+        0.7745632356211318, 2.5532823042237185)
+    hi = theta_upper_bound(lv)
+    grid = np.geomspace(1e-3 * hi, hi, 48)
+    cont = continue_branch(lv, 0, grid)
+    assert cont.theta_c == pytest.approx(1.1259381008157476, rel=1e-12)
+    last_grid = [st for st in cont.states if st.theta in grid][-1]
+    assert bose_gas._fold_theta(lv, last_grid) is None
+
+
+def _guard_cases() -> list:
+    three = LevelSet.from_values((0.0, 0.6, 1.0), 1.0, 2.0)
+    lv, l, n = GROUND_PAST_FOLD
+    hi = theta_upper_bound(lv)
+    cases = [(LV, 1, _certificate_grid(LV)), (three, 2, _certificate_grid(three)),
+             (three, 1, _certificate_grid(three)),
+             (lv, l, np.geomspace(1e-3 * hi, hi, n))]
+    # seeded off the ground level, where the fold is used
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        K = int(rng.integers(2, 9))
+        lam = np.sort(rng.uniform(0.0, 1.0, K))
+        lv = LevelSet.from_values(lam, float(np.exp(rng.uniform(-1, 1))),
+                                  float(rng.uniform(1.2, 3.0)))
+        hi = theta_upper_bound(lv)
+        cases.append((lv, int(rng.integers(1, K)),
+                      np.geomspace(1e-3 * hi, hi, int(rng.integers(8, 49)))))
+    return cases
+
+
+def test_fold_skip_changes_no_continuation(monkeypatch):
+    cases = _guard_cases()
+    with_fold = [_outcome(lambda: continue_branch(lv, l, grid))
+                 for lv, l, grid in cases]
+    monkeypatch.setattr(bose_gas, "_fold_theta", lambda levels, st: None)
+    for (lv, l, grid), want in zip(cases, with_fold):
+        assert _outcome(lambda: continue_branch(lv, l, grid)) == want, (lv, l)
+    # coverage: most branches die inside their grids
+    died = [out for out in with_fold
+            if out.startswith("ContinuationResult") and "theta_c=None" not in out]
+    assert len(died) >= 8
 
 
 def test_entropy_slope_positive_and_fd_consistent():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerophase import ensemble
 from zerophase.asymptotics import convergence_scan, limit_F, limit_w
 from zerophase.averaging import AveragingKernel, financial_average
 from zerophase.ensemble import (EnsembleState, closed_form_coeff,
@@ -29,6 +30,27 @@ def test_compositions_count_and_order():
     assert (occ.sum(axis=1) == 4).all()
     # lexicographic, first coordinate fastest-growing last
     assert occ.tolist() == sorted(occ.tolist())
+
+
+def _recursive_compositions(remaining: int, slots: int):
+    # the layout's former generator: first coordinate outermost
+    if slots == 1:
+        yield (remaining,)
+        return
+    for first in range(remaining + 1):
+        for rest in _recursive_compositions(remaining - first, slots - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("Ms,l", [(range(13), l) for l in range(1, 6)]
+                         + [((420,), 3)])
+def test_class_layout_equals_recursive_generator(Ms, l):
+    for M in Ms:
+        want = np.array(list(_recursive_compositions(M, l)),
+                        dtype=np.int64).reshape(-1, l)
+        occ, log_sizes = ensemble._class_layout(M, l)
+        assert occ.dtype == want.dtype and np.array_equal(occ, want), (M, l)
+        assert log_sizes.shape == (len(want),)
 
 
 def test_product_state_norm_is_weight_sum_power():
