@@ -1,5 +1,6 @@
-"""Numpy ports of the four SciPy routines the solvers call.
+"""Input gates, and numpy ports of the four SciPy routines the solvers call.
 
+The gates raise InputError for a non-finite real or a non-integer count.
 Each port performs the same float operations in the same order as the SciPy
 1.17 code it replaces, so it returns the same bits; the tests hold each one
 to its SciPy original with exact equality.  Keeping them here lets the
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -31,6 +33,41 @@ _STIRLING_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
 # x = k + 1 < 13: cephes multiplies out k! exactly and takes its log
 _SMALL_LOG_FACTORIALS = np.array([math.log(float(math.factorial(k)))
                                   for k in range(12)])
+
+
+# sign requirement of the real gates, for a scalar or an array
+_SIGN_TESTS = {"": lambda v: True, "positive": lambda v: v > 0,
+               "nonnegative": lambda v: v >= 0}
+
+
+def check_real(value, name: str, sign: str = ""):
+    """value, unchanged, if finite and, per sign, "positive" or "nonnegative"."""
+    try:
+        if math.isfinite(value) and _SIGN_TESTS[sign](value):
+            return value
+    except (TypeError, OverflowError):  # not a real number, or an int past float
+        pass
+    raise InputError(f"{name} must be finite" + (sign and f" and {sign}"))
+
+
+def check_count(value, name: str, low: int = 0) -> int:
+    """int(value) for an integral number (2.0 too, no bool) in [low, MAX_COUNT]."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())
+            and low <= int(value) <= MAX_COUNT):
+        return int(value)
+    kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        low, f"an integer >= {low}")
+    raise InputError(f"{name} must be {kind} and must not exceed 2**52")
+
+
+def check_grid(values, name: str, sign: str) -> np.ndarray:
+    """values as a nonempty increasing 1-d float array passing check_real."""
+    a = np.asarray(values, dtype=float)
+    if not (a.ndim == 1 and a.size and np.all(np.isfinite(a) & _SIGN_TESTS[sign](a))
+            and np.all(np.diff(a) > 0)):
+        raise InputError(f"{name} must be a nonempty, finite, {sign}, increasing sequence")
+    return a
 
 
 def as_counts(values) -> np.ndarray:

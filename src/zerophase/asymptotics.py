@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ensemble
-from ._numeric import logsumexp
+from ._numeric import check_count, check_real, logsumexp
 from .averaging import Spectrum, _coerce_spectrum, _coerce_weights
 from .errors import InputError
 
@@ -33,10 +33,8 @@ def _support_exponents(
     if g.shape != lam.shape:
         raise InputError("g and spectrum must have equal length")
     mask = g > 0
-    if beta <= 0:
-        raise InputError("beta must be > 0")
-    if n < 0:
-        raise InputError("n must be >= 0")
+    check_real(beta, "beta", "positive")
+    n = check_count(n, "n")
     expo = -n * beta * lam[mask] / (n + 1) + np.log(g[mask]) / (n + 1)
     return expo, mask
 
@@ -72,8 +70,7 @@ def gibbs_fixed_point(
     surfaced here rather than hidden.
     """
     lam = _coerce_spectrum(spectrum).as_array()
-    if beta <= 0:
-        raise InputError("beta must be > 0")
+    check_real(beta, "beta", "positive")
     idx = np.arange(lam.size) if support is None else np.asarray(sorted(set(support)), dtype=int)
     if idx.size == 0:
         raise InputError("support must be nonempty")
@@ -108,8 +105,7 @@ def convergence_scan(
     Each M runs independently through the class pipeline (n evolution steps
     from the product state), in input order.
     """
-    if n < 1:
-        raise InputError("convergence scan needs n >= 1")
+    n = check_count(n, "n", 1)
     if not M_list:
         raise InputError("M_list must be nonempty")
     g = _coerce_weights(g)

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._numeric import logsumexp
+from ._numeric import check_count, check_real, logsumexp
 from .errors import GuardExceeded, InputError
 
 ENUMERATION_GUARD = 10**8
@@ -96,10 +96,10 @@ class AveragingKernel:
 
     def __post_init__(self):
         if self.kind == "exponential":
-            if not self.beta > 0:
-                raise InputError("exponential kernel needs beta > 0")
+            check_real(self.beta, "exponential kernel beta", "positive")
         elif self.kind == "linear":
-            if self.A == 0:
+            check_real(self.D, "linear kernel D")
+            if check_real(self.A, "linear kernel A") == 0:
                 raise InputError("linear kernel needs A != 0")
         elif self.kind == "_custom":
             if self.f is None or self.f_inv is None:
@@ -192,7 +192,7 @@ def verify_shift_axiom(
     shifts derived from a (scaled and negated copies); admissible kernels give
     residual ~ 0 because C is exactly 1 for them.
     """
-    if shift == 0:
+    if check_real(shift, "shift a") == 0:
         raise InputError("shift a must be nonzero")
     spectrum = _coerce_spectrum(spectrum)
     weights = _coerce_weights(weights)
@@ -253,9 +253,10 @@ def check_resonance_free(spectrum: Spectrum | Sequence[float], bound: int) -> Re
     max|lam|.
     """
     spectrum = _coerce_spectrum(spectrum)
-    if isinstance(bound, bool) or not isinstance(bound, numbers.Integral) or bound < 1:
+    # stricter than check_count (no 2.0): the bound is stored in resonance_bound
+    if not isinstance(bound, numbers.Integral):
         raise InputError("bound K must be a positive integer")
-    K = int(bound)
+    K = check_count(bound, "bound K", 1)
     lam = spectrum.values
     l = len(lam)
     if (2 * K + 1) ** l > ENUMERATION_GUARD:
@@ -295,8 +296,7 @@ def polynomial_spectrum(coefficients: Iterable[float], N: int) -> Spectrum:
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
         raise InputError("need at least one polynomial coefficient")
-    if N < 1:
-        raise InputError("N must be a positive integer")
+    N = check_count(N, "N", 1)
     points = np.arange(N + 1, dtype=float)
     values = sum(c * points**q for q, c in enumerate(coeffs))
     return Spectrum(tuple(float(v) for v in values))
@@ -316,10 +316,8 @@ def probe_proposition3(p: int, N: int, trials: int, bound: int, seed: int) -> Pr
     minus one forces a relation (vanishing finite difference); at or above it
     the relation generically disappears.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if p < 0:
-        raise InputError("polynomial degree must be >= 0")
+    trials = check_count(trials, "trials", 1)
+    p = check_count(p, "polynomial degree p")
     rng = np.random.default_rng(seed)
     failures = 0
     witnesses: list[tuple[int, ...] | None] = []

@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import MAX_COUNT, as_counts, brentq, log_factorial
+from ._numeric import (as_counts, brentq, check_count, check_grid, check_real,
+                       log_factorial)
 from .errors import BranchNotFound, BranchTerminated, InputError, SolverError
 
 # Residual budget every accepted branch state must satisfy, for the
@@ -58,12 +59,10 @@ class DispersionSpec:
     n_max: int = 2
 
     def __post_init__(self) -> None:
-        if self.L <= 0 or self.hbar <= 0:
-            raise InputError("L and hbar must be positive")
-        if int(self.G) != self.G or self.G < 1:
-            raise InputError("G must be a positive integer")
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise InputError("truncation window must contain at least 2 levels")
+        check_real(self.L, "L", "positive")
+        check_real(self.hbar, "hbar", "positive")
+        for name in ("G", "n_max"):  # stored as ints: n_max indexes the window
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
 
     @property
     def dp(self) -> float:
@@ -107,8 +106,8 @@ class LevelSet:
         if not np.all(np.isfinite(lam)):
             raise InputError("levels must be finite")
         object.__setattr__(self, "lambdas", tuple(float(x) for x in lam))
-        if not all(math.isfinite(x) and x > 0 for x in (self.g, self.V, self.D)):
-            raise InputError("g, V, D must be finite and positive")
+        for name in ("g", "V", "D"):
+            check_real(getattr(self, name), name, "positive")
         min_gap = _min_gap(lam)
         # width condition first: a duplicated level violates it for any D > 0
         if self.D >= min_gap:
@@ -172,9 +171,7 @@ def log_multiplicity(levels: LevelSet, occupation: Sequence[int], N: int,
         raise InputError("occupations must sum to N")
     if G is None:
         G = max(1, int(round(levels.g * N)))
-    if not (1 <= G <= MAX_COUNT and float(G).is_integer()):
-        raise InputError("G must be a positive integer up to 2**52")
-    G = int(G)
+    G = check_count(G, "G", 1)
     return float(np.sum(log_factorial(G + occ - 1) - log_factorial(G - 1)
                         - log_factorial(occ)))
 
@@ -197,8 +194,7 @@ def _check_fractions(m: np.ndarray, size: int) -> np.ndarray:
 def free_energy(levels: LevelSet, m: Sequence[float], theta: float) -> float:
     """Specific free energy of a fraction vector at temperature theta."""
     m = _check_fractions(np.asarray(m, dtype=float), levels.size)
-    if not (math.isfinite(theta) and theta >= 0):
-        raise InputError("theta must be finite and nonnegative")
+    check_real(theta, "theta", "nonnegative")
     energy = levels.as_array() @ m - 0.5 * levels.V * np.sum(m * m)
     return float(energy - theta * specific_entropy(levels, m))
 
@@ -354,6 +350,22 @@ def _golden_min(fun, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _phi(levels: LevelSet, theta: float, m: np.ndarray) -> np.ndarray:
+    return levels.as_array() - levels.V * m + theta * np.log(m / (levels.g + m))
+
+
+def _residual(levels: LevelSet, theta: float, m: np.ndarray, mu: float) -> float:
+    return max(float(np.max(np.abs(_phi(levels, theta, m) - mu))),
+               abs(float(m.sum()) - 1.0))
+
+
+def _bordered_solve(inv: np.ndarray, r: np.ndarray,
+                    c: float) -> tuple[np.ndarray, float]:
+    # (dm, dmu) with alpha_n dm_n + r_n = dmu, sum dm = -c, inv = 1/alpha: O(K)
+    dmu = (np.sum(r * inv) - c) / np.sum(inv)
+    return (dmu - r) * inv, dmu
+
+
 def _bordered_newton(levels: LevelSet, theta: float,
                      m: np.ndarray) -> tuple[np.ndarray, float]:
     """Damped Newton on (phi_n(m_n) = mu, sum m = 1) from m; returns (m, mu).
@@ -364,23 +376,12 @@ def _bordered_newton(levels: LevelSet, theta: float,
     region) and the residual falls; the iteration runs until it stops
     falling and fails unless the best residual is below 1e-12.
     """
-    lam = levels.as_array()
-
-    def phi(mv: np.ndarray) -> np.ndarray:
-        return lam - levels.V * mv + theta * np.log(mv / (levels.g + mv))
-
-    def resid_norm(mv: np.ndarray, u: float) -> float:
-        return max(float(np.max(np.abs(phi(mv) - u))), abs(float(mv.sum()) - 1.0))
-
-    mu = float(np.mean(phi(m)))
+    mu = float(np.mean(_phi(levels, theta, m)))
     a = _alpha(levels, theta, m)
-    best = resid_norm(m, mu)
+    best = _residual(levels, theta, m, mu)
     for _ in range(200):
-        r = phi(m) - mu
-        c = m.sum() - 1.0
-        inv = 1.0 / a
-        dmu = (np.sum(r * inv) - c) / np.sum(inv)
-        dm = (dmu - r) * inv
+        dm, dmu = _bordered_solve(1.0 / a, _phi(levels, theta, m) - mu,
+                                  m.sum() - 1.0)
         step = 1.0
         for _ in range(40):
             m_try = m + step * dm
@@ -388,7 +389,7 @@ def _bordered_newton(levels: LevelSet, theta: float,
                 a_try = _alpha(levels, theta, m_try)
                 if np.all(a_try > 0):
                     mu_try = mu + step * dmu
-                    res = resid_norm(m_try, mu_try)
+                    res = _residual(levels, theta, m_try, mu_try)
                     if res < best:
                         m, mu, a, best = m_try, mu_try, a_try, res
                         break
@@ -423,18 +424,19 @@ def _stability(levels: LevelSet, theta: float, l: int,
     others = np.delete(alphas, l)
     stable = bool(np.all(others > 0) and alphas[l] < 0
                   and (-np.sum(alphas[l] / others)) < 1.0)
-    with np.errstate(divide="ignore"):
-        margin = float(1.0 + np.sum(alphas[l] / others))
     return StabilityReport(alphas=tuple(float(a) for a in alphas),
-                           stable=stable, margin=margin)
+                           stable=stable, margin=_margin(alphas, l))
+
+
+def _margin(alphas: np.ndarray, l: int) -> float:
+    # 1 + sum_{n != l} alpha_l/alpha_n: the slope of the unit-sum defect
+    with np.errstate(divide="ignore"):
+        return float(1.0 + np.sum(alphas[l] / np.delete(alphas, l)))
 
 
 def _finalize_state(levels: LevelSet, theta: float, l: int, m: np.ndarray,
                     mu: float) -> BranchState:
-    lam = levels.as_array()
-    resid = np.max(np.abs(lam - levels.V * m
-                          + theta * np.log(m / (levels.g + m)) - mu))
-    resid = max(float(resid), abs(float(m.sum()) - 1.0))
+    resid = _residual(levels, theta, m, mu)
     if resid > RESIDUAL_TOL:
         raise SolverError(f"branch residual {resid:.3e} exceeds tolerance")
     st = _stability(levels, theta, l, m)
@@ -460,9 +462,9 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
     lambda_n - lambda_l + V <= 0) and BranchTerminated when the branch no
     longer has a solution at this temperature.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise InputError("theta must be finite and positive")
-    if not (0 <= l < levels.size):
+    check_real(theta, "theta", "positive")
+    l = check_count(l, "seed level l")
+    if l >= levels.size:
         raise InputError("seed level out of range")
     lam = levels.as_array()
     ground = levels.ground
@@ -545,7 +547,7 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
     # Newton polish on the defect; its exact slope is the stability margin
     for _ in range(4):
         d = float(m.sum() - 1.0)
-        margin = _stability(levels, theta, l, m).margin
+        margin = _margin(_alpha(levels, theta, m), l)
         if abs(d) < 1e-14 or margin <= 0:
             break
         x_new = x_hat - d / margin
@@ -568,8 +570,7 @@ def solve_self_consistent(levels: LevelSet, theta: float,
     iteration, started from the uniform fraction, gives the ground seed's
     gas candidate in solve_branch.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise InputError("theta must be finite and positive")
+    check_real(theta, "theta", "positive")
     m = np.asarray(m0, dtype=float)
     if m.shape != (levels.size,):
         raise InputError("initial guess length must match the level count")
@@ -705,12 +706,8 @@ def continue_branch(levels: LevelSet, l: int,
     the live bisection states follow the grid states in increasing theta.
     BranchTerminated if the branch is dead at the first grid point.
     """
-    thetas = np.asarray(theta_grid, dtype=float)
-    if thetas.ndim != 1 or thetas.size < 1:
-        raise InputError("theta grid must be a nonempty 1-d sequence")
-    if not (np.all(np.isfinite(thetas)) and np.all(thetas > 0)
-            and np.all(np.diff(thetas) > 0)):
-        raise InputError("theta grid must be finite, positive and increasing")
+    thetas = check_grid(theta_grid, "theta grid", "positive")
+    l = check_count(l, "seed level l")
 
     states: list[BranchState] = []
     hint = None
@@ -738,7 +735,6 @@ def continue_branch(levels: LevelSet, l: int,
         raise BranchTerminated("branch has no solution on the given grid")
 
     lo, hi = last_good, first_bad
-    hint = states[-1].m[l]
     # past its fold the branch is dead, so midpoints clear of the fold by
     # more than the defect's rounding need no solve; the midpoints and the
     # hint chain stay those of the plain bisection.  Not for the ground
@@ -795,8 +791,7 @@ def entropy_and_capacity(levels: LevelSet,
         # alpha_n m_n' + ln(m_n/(g+m_n)) = mu',  sum m' = 0
         m = st.m_array()
         L = np.log(m / (levels.g + m))
-        inv = 1.0 / st.alphas_array()
-        dm = (np.sum(L * inv) / np.sum(inv) - L) * inv
+        dm, _ = _bordered_solve(1.0 / st.alphas_array(), L, 0.0)
         idx = np.arange(levels.size) != st.l
         analytic[j] = float(np.sum(dm[idx] * (L[st.l] - L[idx])))
     fd = np.full_like(s, np.nan)
@@ -826,6 +821,7 @@ def singular_exponent_fit(levels: LevelSet, states: Sequence[BranchState],
     """
     if len(states) < 8:
         raise InputError("at least eight branch points are required")
+    check_real(theta_c, "theta_c", "positive")
     thetas = np.array([st.theta for st in states])
     order = np.argsort(thetas)
     thetas = thetas[order]
@@ -869,8 +865,7 @@ def branch_points_near(levels: LevelSet, l: int, theta_c: float,
     out = []
     hint = None
     for d in sorted(np.asarray(deltas, dtype=float), reverse=True):
-        if d <= 0:
-            raise InputError("offsets below theta_c must be positive")
+        check_real(d, "offsets below theta_c", "positive")
         st = solve_branch(levels, theta_c - d, l, hint=hint)
         hint = st.m[l]
         out.append(st)
@@ -889,32 +884,27 @@ class TransitionCertificate:
     jump: float
 
 
-def zeroth_order_certificate(levels: LevelSet, l: int,
-                             theta_grid: Sequence[float] | None = None
-                             ) -> TransitionCertificate:
+def zeroth_order_certificate(levels: LevelSet, l: int) -> TransitionCertificate:
     """Free-energy jump between the dying branch and the ground state.
 
-    Continues the seed-l branch to its critical temperature, evaluates its
-    free energy there (at the last accepted point, within the bisection
-    tolerance of theta_c), and compares with the ground solution at the
-    same temperature.  A positive jump is the zeroth-order signature: the
-    free energy itself, not just its derivatives, is discontinuous when the
-    branch dies.
+    Continues the seed-l branch over 48 geometric temperatures from 1e-3 to
+    1 times theta_upper_bound, evaluates its free energy at theta_c (at the
+    last accepted point, within the bisection tolerance), and compares with
+    the ground solution there.  A positive jump is the zeroth-order
+    signature: the free energy itself, not just its derivatives, is
+    discontinuous when the branch dies.
     """
-    return _continuation_and_certificate(levels, l, theta_grid)[1]
+    return _continuation_and_certificate(levels, l)[1]
 
 
-def _continuation_and_certificate(levels: LevelSet, l: int,
-                                  theta_grid: Sequence[float] | None
+def _continuation_and_certificate(levels: LevelSet, l: int, points: int = 48
                                   ) -> tuple[ContinuationResult,
                                              TransitionCertificate]:
     # one continuation serves both the certificate and the sweep's rows
     if l == levels.ground:
         raise InputError("certificate requires a non-ground seed")
-    if theta_grid is None:
-        hi = theta_upper_bound(levels)
-        theta_grid = np.geomspace(1e-3 * hi, hi, 48)
-    cont = continue_branch(levels, l, theta_grid)
+    hi = theta_upper_bound(levels)
+    cont = continue_branch(levels, l, np.geomspace(1e-3 * hi, hi, points))
     if cont.theta_c is None:
         raise SolverError("branch survived the entire temperature grid")
     meta = cont.states[-1]
@@ -936,7 +926,8 @@ def scalar_scan_minima(levels: LevelSet, theta: float,
     """
     if levels.size != 2:
         raise InputError("scan oracle is defined for two-level instances")
-    if not (0 < step < 0.5):
+    check_real(theta, "theta", "nonnegative")
+    if not (0 < check_real(step, "step") < 0.5):
         raise InputError("step must lie in (0, 0.5)")
     x = np.arange(step, 1.0, step)
     m0 = 1.0 - x

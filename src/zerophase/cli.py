@@ -25,7 +25,6 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +33,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import asymptotics, averaging, bose_gas, condensation, ensemble, entropy_flow
+from ._numeric import check_count, check_real
 from .errors import GuardExceeded, InputError, SolverError
 
 
@@ -46,9 +46,7 @@ def _float(s: str) -> float:
         v = float(s)
     except ValueError:
         raise InputError(f"expected a number, got {s!r}")
-    if not math.isfinite(v):
-        raise InputError(f"expected a finite number, got {s!r}")
-    return v
+    return check_real(v, f"number {s!r}")
 
 
 def _int(s: str) -> int:
@@ -75,10 +73,9 @@ def _grid_spec(values: tuple, flag: str, min_count: int) -> tuple:
     if len(values) != 3:
         raise InputError(f"{flag} must be lo,hi,count")
     lo, hi, count = values
-    if not (hi > lo and float(count).is_integer() and count >= min_count):
-        raise InputError(f"{flag} needs hi > lo and an integer "
-                         f"count >= {min_count}")
-    return lo, hi, int(count)
+    if not hi > lo:
+        raise InputError(f"{flag} needs hi > lo")
+    return lo, hi, check_count(count, f"{flag} count", min_count)
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ def _run_evolve(params: dict) -> int:
     g, lam = params["g"], params["lambda"]
     if len(g) != len(lam):
         raise InputError("--g and --lambda must have equal length")
-    if params["steps"] < 0:
-        raise InputError("--steps must be nonnegative")
+    check_count(params["steps"], "--steps")
     state = ensemble.init_product_state(g, params["M"])
     header = ["step", "norm", "F"] + [f"w_{i + 1}" for i in range(len(g))]
     rows = []
@@ -263,8 +259,6 @@ _LIMITS_OPTS = (
 
 def _run_limits(params: dict) -> int:
     g, lam, beta = params["g"], params["lambda"], params["beta"]
-    if len(g) != len(lam):
-        raise InputError("--g and --lambda must have equal length")
     rows = []
     last_limit = None
     for n in params["n"]:
@@ -303,9 +297,8 @@ def _run_bose_sweep(params: dict) -> int:
         l = levels.size - 1
     if params["theta_points"] < 8:
         raise InputError("--theta-points must be at least 8")
-    hi = bose_gas.theta_upper_bound(levels)
-    grid = np.geomspace(1e-3 * hi, hi, params["theta_points"])
-    cont, cert = bose_gas._continuation_and_certificate(levels, l, grid)
+    cont, cert = bose_gas._continuation_and_certificate(levels, l,
+                                                        params["theta_points"])
     header = (["theta"] + [f"m_{i}" for i in range(levels.size)]
               + ["mu", "f", "s", "margin"])
     rows = [[st.theta, *st.m, st.mu, st.f, st.s, st.margin]

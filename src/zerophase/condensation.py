@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import MAX_COUNT, brentq, log_factorial
+from ._numeric import brentq, check_count, check_grid, check_real, log_factorial
 from .errors import GuardExceeded, InputError
 
 SOCIAL_SCAN_GUARD = 5000
@@ -48,10 +48,8 @@ class DebtPosition:
     velocity: float  # turnovers per year
 
     def __post_init__(self) -> None:
-        if self.principal < 0:
-            raise InputError("principal must be nonnegative")
-        if self.velocity <= 0:
-            raise InputError("velocity must be positive")
+        check_real(self.principal, "principal", "nonnegative")
+        check_real(self.velocity, "velocity", "positive")
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,8 @@ class LongTermDebt:
     years: float  # annual turnover rate is 1/years
 
     def __post_init__(self) -> None:
-        if self.principal < 0:
-            raise InputError("principal must be nonnegative")
-        if self.years < 1:
+        check_real(self.principal, "principal", "nonnegative")
+        if check_real(self.years, "years") < 1:
             raise InputError("long-term credit must run for at least a year")
 
 
@@ -95,8 +92,7 @@ class DebtSupply:
 
 def debt_supply(ledger: DebtLedger, sigma_avg: float) -> DebtSupply:
     """Total yearly money turnover M and its count equivalent N = M/sigma."""
-    if sigma_avg <= 0:
-        raise InputError("sigma_avg must be positive")
+    check_real(sigma_avg, "sigma_avg", "positive")
     M = ledger.money_supply()
     return DebtSupply(M=M, N=M / sigma_avg)
 
@@ -115,14 +111,9 @@ class ParetoLevels:
     q: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise InputError("gamma must be positive")
-        if self.k < 1 or int(self.k) != self.k:
-            raise InputError("k must be a positive integer")
-        if self.alpha1 <= 0:
-            raise InputError("alpha1 must be positive")
-        if self.q <= 0:
-            raise InputError("q must be positive")
+        for name in ("gamma", "alpha1", "q"):
+            check_real(getattr(self, name), name, "positive")
+        object.__setattr__(self, "k", check_count(self.k, "k", 1))
 
     def alphas(self) -> np.ndarray:
         i = np.arange(1, self.k + 1, dtype=float)
@@ -137,16 +128,14 @@ def _bose_factor(x: np.ndarray) -> np.ndarray:
 
 def critical_number(levels: ParetoLevels, theta: float) -> float:
     """Maximal debt count the excited levels carry at temperature theta."""
-    if not (math.isfinite(theta) and theta > 0):
-        raise InputError("theta must be finite and positive")
+    check_real(theta, "theta", "positive")
     i = np.arange(1, levels.k + 1, dtype=float)
     return float(np.sum(levels.alphas() * i * _bose_factor(i ** levels.q / theta)))
 
 
 def money_at_theta(levels: ParetoLevels, theta: float) -> float:
     """Money carried by the excited levels: sum alpha_i i^q Bose(i^q/theta)."""
-    if not (math.isfinite(theta) and theta > 0):
-        raise InputError("theta must be finite and positive")
+    check_real(theta, "theta", "positive")
     i = np.arange(1, levels.k + 1, dtype=float)
     e = i ** levels.q
     return float(np.sum(levels.alphas() * e * _bose_factor(e / theta)))
@@ -160,8 +149,7 @@ class CondensateReport:
 
 def condensate_excess(levels: ParetoLevels, theta: float, N: float) -> CondensateReport:
     """Debt count beyond the threshold, assigned to the slowest class."""
-    if N < 0:
-        raise InputError("N must be nonnegative")
+    check_real(N, "N", "nonnegative")
     n0 = critical_number(levels, theta)
     excess = max(0.0, N - n0)
     return CondensateReport(excess=float(excess),
@@ -172,11 +160,9 @@ def condensate_excess(levels: ParetoLevels, theta: float, N: float) -> Condensat
 # multi-currency threshold scaling
 
 
-def sqrt_threshold_model(c: float = 1.0) -> Callable[[float], float]:
-    """Threshold model N0(M) = c*sqrt(M) under which splitting gains sqrt(K)."""
-    if c <= 0:
-        raise InputError("c must be positive")
-    return lambda M: c * math.sqrt(M)
+def sqrt_threshold_model() -> Callable[[float], float]:
+    """Threshold model N0(M) = sqrt(M), under which splitting gains sqrt(K)."""
+    return math.sqrt
 
 
 def empirical_threshold_model(levels: ParetoLevels) -> Callable[[float], float]:
@@ -187,8 +173,7 @@ def empirical_threshold_model(levels: ParetoLevels) -> Callable[[float], float]:
     """
 
     def n0_of_money(M: float) -> float:
-        if M <= 0:
-            raise InputError("money supply must be positive")
+        check_real(M, "money supply M", "positive")
         lo, hi = 1e-12, 1.0
         while money_at_theta(levels, hi) < M:
             hi *= 2.0
@@ -215,15 +200,11 @@ def multi_currency_threshold(M_total: float, K: int,
                              threshold_model: Callable[[float], float]
                              ) -> CurrencySplit:
     """Gain of splitting one currency into K: ratio = K*N0(M/K) / N0(M)."""
-    if K < 1 or int(K) != K:
-        raise InputError("K must be a positive integer")
-    if M_total <= 0:
-        raise InputError("M_total must be positive")
-    whole = float(threshold_model(M_total))
-    split = float(threshold_model(M_total / K))
-    if whole <= 0 or split <= 0:
-        raise InputError("threshold model must be positive")
-    return CurrencySplit(ratio=K * split / whole, K=int(K))
+    K = check_count(K, "K", 1)
+    check_real(M_total, "M_total", "positive")
+    whole, split = (check_real(float(threshold_model(M)), "threshold model N0",
+                               "positive") for M in (M_total, M_total / K))
+    return CurrencySplit(ratio=K * split / whole, K=K)
 
 
 def long_term_gdp_contribution(C_done_per_year: float, C_total: float,
@@ -234,6 +215,9 @@ def long_term_gdp_contribution(C_done_per_year: float, C_total: float,
     The underlying accounting sentence is ambiguous; this is the fixed,
     documented reading.
     """
+    for name, v in (("C_done_per_year", C_done_per_year), ("C_total", C_total),
+                    ("E_total", E_total), ("L", L)):
+        check_real(v, name)
     if L < 1:
         raise InputError("L must be at least one year")
     return float(C_done_per_year - (C_total - E_total) / L)
@@ -258,12 +242,9 @@ class TwoLevelEconomy:
     sign_convention: str = "minus"
 
     def __post_init__(self) -> None:
-        for name, v in (("n1", self.n1), ("n2", self.n2), ("N", self.N)):
-            if v < 1 or int(v) != v:
-                raise InputError(f"{name} must be a positive integer")
-            if v > MAX_COUNT:
-                raise InputError(f"{name} must not exceed 2**52")
-        if not (1.0 < self.gamma_int < 2.0):
+        for name in ("n1", "n2", "N"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
+        if not (1.0 < check_real(self.gamma_int, "gamma_int") < 2.0):
             raise InputError("gamma_int must lie strictly between 1 and 2")
         if self.sign_convention not in _SIGN_CONVENTIONS:
             raise InputError(f"sign_convention must be one of {_SIGN_CONVENTIONS}")
@@ -276,7 +257,7 @@ def _energy_part(eco: TwoLevelEconomy) -> np.ndarray:
 
 
 def _log_multiplicity(eco: TwoLevelEconomy) -> np.ndarray:
-    N, a, b = int(eco.N), int(eco.n1), int(eco.n2)
+    N, a, b = eco.N, eco.n1, eco.n2
     n1 = np.arange(N + 1)
     n2 = N - n1
     # one log_factorial table over the union of the three argument runs,
@@ -291,8 +272,7 @@ def _log_multiplicity(eco: TwoLevelEconomy) -> np.ndarray:
 
 def social_functional(eco: TwoLevelEconomy, T: float) -> np.ndarray:
     """E(N1) over N1 = 0..N at temperature T, per the sign convention."""
-    if not (math.isfinite(T) and T >= 0):
-        raise InputError("T must be finite and nonnegative")
+    check_real(T, "T", "nonnegative")
     e = _energy_part(eco)
     s = _log_multiplicity(eco)
     return e - T * s if eco.sign_convention == "minus" else e + T * s
@@ -319,12 +299,7 @@ def social_explosion_scan(eco: TwoLevelEconomy,
     """
     if eco.N > SOCIAL_SCAN_GUARD:
         raise GuardExceeded(f"exhaustive scan guarded at N <= {SOCIAL_SCAN_GUARD}")
-    Ts = np.asarray(T_grid, dtype=float)
-    if Ts.ndim != 1 or Ts.size < 1:
-        raise InputError("T grid must be a nonempty 1-d sequence")
-    if not (np.all(np.isfinite(Ts)) and np.all(Ts >= 0)
-            and np.all(np.diff(Ts) > 0)):
-        raise InputError("T grid must be finite, nonnegative and increasing")
+    Ts = check_grid(T_grid, "T grid", "nonnegative")
     e = _energy_part(eco)
     s = _log_multiplicity(eco)
     sign = -1.0 if eco.sign_convention == "minus" else 1.0

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import as_counts, log_factorial, logsumexp
+from ._numeric import as_counts, check_count, check_real, log_factorial, logsumexp
 from .averaging import Spectrum, _coerce_spectrum, _coerce_weights
 from .errors import GuardExceeded, InputError
 
@@ -73,7 +73,7 @@ def _class_layout(M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 def compositions(M: int, l: int) -> np.ndarray:
     """All occupation vectors with total M over l levels, lexicographic."""
-    return _class_layout(M, l)[0]
+    return _class_layout(check_count(M, "M"), check_count(l, "l", 1))[0]
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ class EnsembleState:
     step: int = 0
 
     def __post_init__(self):
+        for name in ("l", "M", "step"):  # stored as the ints the gate returns
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         expected = len(compositions(self.M, self.l))
         if self.log_coeffs.shape != (expected,):
             raise InputError("coefficient array does not match the class layout")
@@ -96,20 +98,26 @@ class EnsembleState:
 
     def coeff(self, occ: Sequence[int]) -> float:
         """Linear-space coefficient of one occupation class."""
-        idx = _class_index(self.M, self.l, tuple(occ))
+        idx = _class_index(self.M, self.l, occ)
         return float(np.exp(self.log_coeffs[idx]))
 
 
-@lru_cache(maxsize=64)
-def _class_index_map(M: int, l: int) -> dict[tuple[int, ...], int]:
-    occ = compositions(M, l)
-    return {tuple(int(x) for x in row): i for i, row in enumerate(occ)}
+def _class_rank(occ: Sequence[int]) -> int:
+    # row of occ in compositions(sum(occ), len(occ)), in exact ints: of the
+    # C(rest+p-1, p-1) tails over the last p levels, those whose first entry
+    # is below occ's entry a there, all but C(rest-a+p-1, p-1), come first
+    rank, rest = 0, sum(occ)
+    for p, a in zip(range(len(occ), 1, -1), occ):
+        rank += math.comb(rest + p - 1, p - 1) - math.comb(rest - a + p - 1, p - 1)
+        rest -= a
+    return rank
 
 
-def _class_index(M: int, l: int, occ: tuple[int, ...]) -> int:
-    if len(occ) != l or any(x < 0 for x in occ) or sum(occ) != M:
-        raise InputError("occupation vector must be nonnegative and sum to M")
-    return _class_index_map(M, l)[occ]
+def _class_index(M: int, l: int, occ: Sequence[int]) -> int:
+    occ = as_counts(occ)
+    if occ.shape != (l,) or occ.sum() != M:
+        raise InputError("occupation vector must have l entries summing to M")
+    return _class_rank(occ.tolist())
 
 
 def _spectrum_array(spectrum: Spectrum | Sequence[float], l: int) -> np.ndarray:
@@ -131,16 +139,14 @@ def _log_weight_power(g: np.ndarray, occ: np.ndarray) -> np.ndarray:
 def init_product_state(g: Sequence[float], M: int) -> EnsembleState:
     """Product state: class {M} carries coefficient prod_i g_i^{M_i}."""
     g = _coerce_weights(g).as_array()
-    if M < 1:
-        raise InputError("M must be >= 1")
+    M = check_count(M, "M", 1)
     occ = compositions(M, g.size)
     return EnsembleState(l=g.size, M=M, log_coeffs=_log_weight_power(g, occ), step=0)
 
 
 def evolve_step(state: EnsembleState, spectrum: Spectrum | Sequence[float], beta: float) -> EnsembleState:
     """One application of reduce-after-cooling on class coefficients."""
-    if beta < 0:
-        raise InputError("beta must be >= 0")
+    check_real(beta, "beta", "nonnegative")
     lam = _spectrum_array(spectrum, state.l)
     occ, log_sizes = _class_layout(state.M, state.l)
     energies = occ @ lam
@@ -159,6 +165,8 @@ def closed_form_log_coeff(
     """Log of the closed-form class coefficient after n steps."""
     g = _coerce_weights(g).as_array()
     lam = _spectrum_array(spectrum, g.size)
+    check_real(beta, "beta", "nonnegative")
+    n = check_count(n, "n")
     occ_arr = as_counts(occ)
     if occ_arr.sum() != M:
         raise InputError("occupation vector must sum to M")
@@ -215,8 +223,7 @@ def marginals(state: EnsembleState) -> np.ndarray:
 
 def specific_free_energy(state: EnsembleState, beta: float) -> float:
     """F(n, g, M) = -ln(norm) / (M * beta * (n+1)) at the state's step n."""
-    if beta <= 0:
-        raise InputError("beta must be > 0")
+    check_real(beta, "beta", "positive")
     return float(-log_state_norm(state) / (state.M * beta * (state.step + 1)))
 
 
@@ -253,7 +260,8 @@ def tuple_product_state(g: Sequence[float], M: int) -> TupleState:
     """psi(i_1..i_M) = prod_s g_{i_s}."""
     g = _coerce_weights(g).as_array()
     # reject before the l**M outer product is materialized
-    if M < 1 or M > ORACLE_MAX_SYSTEMS:
+    M = check_count(M, "M", 1)
+    if M > ORACLE_MAX_SYSTEMS:
         raise GuardExceeded(f"oracle supports 1 <= M <= {ORACLE_MAX_SYSTEMS}")
     if g.size > ORACLE_MAX_LEVELS:
         raise GuardExceeded(f"oracle supports 1 <= l <= {ORACLE_MAX_LEVELS}")
@@ -265,8 +273,7 @@ def _tuple_occupation_codes(l: int, M: int) -> np.ndarray:
     """Per-tuple class ids, aligned to compositions."""
     idx = np.indices((l,) * M).reshape(M, -1)
     counts = np.stack([(idx == j).sum(axis=0) for j in range(l)], axis=1)
-    index_map = _class_index_map(M, l)
-    ids = np.array([index_map[tuple(int(x) for x in row)] for row in counts], dtype=np.int64)
+    ids = np.array([_class_rank(row) for row in counts.tolist()], dtype=np.int64)
     ids.setflags(write=False)
     return ids
 
@@ -282,6 +289,7 @@ def _tuple_energies(l: int, M: int, lam: np.ndarray) -> np.ndarray:
 
 def oracle_evolve(ts: TupleState, spectrum: Spectrum | Sequence[float], beta: float) -> TupleState:
     """Literal one-step map: cool every tuple, then rebuild class-constant sums."""
+    check_real(beta, "beta", "nonnegative")
     lam = _spectrum_array(spectrum, ts.l)
     cooled = ts.psi * np.exp(-beta * _tuple_energies(ts.l, ts.M, lam))
     ids = _tuple_occupation_codes(ts.l, ts.M)
@@ -304,7 +312,7 @@ def oracle_marginal(ts: TupleState, i: int) -> float:
 
 def class_project(ts: TupleState, occ: Sequence[int]) -> TupleState:
     """Projector onto one occupation class (zero elsewhere)."""
-    idx = _class_index(ts.M, ts.l, tuple(int(x) for x in occ))
+    idx = _class_index(ts.M, ts.l, occ)
     ids = _tuple_occupation_codes(ts.l, ts.M)
     mask = (ids == idx).reshape(ts.psi.shape)
     return TupleState(np.where(mask, ts.psi, 0.0))
@@ -319,10 +327,10 @@ def reduce_to_classes(ts: TupleState) -> EnsembleState:
         return EnsembleState(l=ts.l, M=ts.M, log_coeffs=np.log(class_norms), step=0)
 
 
-def ensemble_from_tuple(ts: TupleState, step: int = 0, rtol: float = 1e-9) -> EnsembleState:
+def ensemble_from_tuple(ts: TupleState, step: int = 0) -> EnsembleState:
     """Read class coefficients off a class-constant dense state.
 
-    Raises if any class carries unequal member values (not class-constant).
+    Raises unless each class's member values agree to 1e-9, relative.
     """
     ids = _tuple_occupation_codes(ts.l, ts.M)
     flat = ts.psi.reshape(-1)
@@ -331,7 +339,7 @@ def ensemble_from_tuple(ts: TupleState, step: int = 0, rtol: float = 1e-9) -> En
     for c in range(n_classes):
         members = flat[ids == c]
         lo, hi = members.min(), members.max()
-        if hi - lo > rtol * max(abs(hi), abs(lo), 1e-300):
+        if hi - lo > 1e-9 * max(abs(hi), abs(lo), 1e-300):
             raise InputError("dense state is not class-constant")
         values[c] = members[0]
     if np.any(values < 0):

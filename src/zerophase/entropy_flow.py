@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import linear_sampler, logsumexp
+from ._numeric import check_count, check_real, linear_sampler, logsumexp
 from .errors import InputError
 
 _BOUNDARIES = ("clamped", "periodic")
@@ -44,8 +44,9 @@ class EntropyField:
         spacing = tuple(float(v) for v in np.atleast_1d(self.spacing))
         if len(origin) != H.ndim or len(spacing) != H.ndim:
             raise InputError("origin/spacing must match the field dimension")
-        if any(s <= 0 for s in spacing):
-            raise InputError("spacing must be positive")
+        for o, s in zip(origin, spacing):
+            check_real(o, "origin")
+            check_real(s, "spacing", "positive")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "H", H)
@@ -79,7 +80,7 @@ class EntropyField:
                       ) -> "EntropyField":
         origin = tuple(float(v) for v in np.atleast_1d(origin))
         spacing = tuple(float(v) for v in np.atleast_1d(spacing))
-        shape = tuple(int(v) for v in np.atleast_1d(shape))
+        shape = tuple(check_count(v, "shape") for v in np.atleast_1d(shape))
         axes = [origin[d] + spacing[d] * np.arange(shape[d])
                 for d in range(len(shape))]
         grids = np.meshgrid(*axes, indexing="ij")
@@ -97,10 +98,8 @@ class FlowConfig:
     boundary: str = "clamped"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise InputError("dt must be positive")
-        if self.steps < 1:
-            raise InputError("steps must be at least 1")
+        check_real(self.dt, "dt", "positive")
+        object.__setattr__(self, "steps", check_count(self.steps, "steps", 1))
         if self.boundary not in _BOUNDARIES:
             raise InputError(f"boundary must be one of {_BOUNDARIES}")
 
@@ -124,6 +123,15 @@ def _sampler(field: EntropyField, boundary: str):
     return linear_sampler(field.axes(), values)
 
 
+def _point_in_box(field: EntropyField, x: Sequence[float], name: str) -> np.ndarray:
+    """x as a float array; a NaN coordinate fails the box test too."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = field.box()
+    if x.shape != (field.ndim,) or not np.all((lo <= x) & (x <= hi)):
+        raise InputError(f"{name} must be a point of the sampled box")
+    return x
+
+
 def _wrap(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     span = hi - lo
     return lo + np.mod(x - lo, span)
@@ -143,21 +151,16 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
     Under the clamped boundary a step that would leave the box truncates the
     walk and sets the exited flag; the periodic boundary wraps instead.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (field.ndim,):
-        raise InputError("x0 dimension must match the field")
+    x = _point_in_box(field, x0, "x0")
     lo, hi = field.box()
-    if np.any(x < lo) or np.any(x > hi):
-        raise InputError("x0 must lie inside the sampled box")
     sample = _sampler(field, config.boundary)
     row = sample(x)[0]
     pts = [x.copy()]
     hv = [float(row[0])]
     exited = False
     for _ in range(config.steps):
-        c = float(config.c_of_H(hv[-1]))
-        if c <= 0:
-            raise InputError("c_of_H must be positive on the field's range")
+        c = check_real(float(config.c_of_H(hv[-1])), "c_of_H on the field's range",
+                       "positive")
         x_new = x + config.dt * c * row[1:]
         if config.boundary == "periodic":
             x_new = _wrap(x_new, lo, hi)
@@ -213,8 +216,7 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     inf-convolution min_xi [(x-xi)^2/(2t) + H0(xi)], which can only lower
     it.  Both scan every grid node exactly, one axis at a time.
     """
-    if t <= 0:
-        raise InputError("t must be positive")
+    check_real(t, "t", "positive")
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
     if mode == "max":
@@ -234,8 +236,7 @@ def log_gaussian_smoothing(field0: EntropyField, t: float) -> EntropyField:
     k is the field dimension.  The soft counterpart of the max envelope;
     adding a constant to H0 adds the same constant here, exactly.
     """
-    if t <= 0:
-        raise InputError("t must be positive")
+    check_real(t, "t", "positive")
     k = field0.ndim
     log_hk = float(np.sum(np.log(field0.spacing)))
     H = field0.H
@@ -255,8 +256,7 @@ def heat_semigroup_residual(field0: EntropyField, t: float) -> float:
     error of the discrete Laplacian: halving the spacing divides it by
     about 4.
     """
-    if t <= 0:
-        raise InputError("t must be positive")
+    check_real(t, "t", "positive")
     k = field0.ndim
     log_hk = float(np.sum(np.log(field0.spacing)))
 
@@ -349,7 +349,8 @@ def calibrate_c(dlambda_dt: float, field: EntropyField,
     c = (d lambda/dt) / (grad lambda . grad H); an orthogonal or vanishing
     gradient pairing leaves c undetermined and raises.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    check_real(dlambda_dt, "dlambda_dt")
+    xv = _point_in_box(field, x, "x")
     gradH = _sampler(field, boundary)(xv)[0, 1:]
     gradL = _sampler(price_field, boundary)(xv)[0, 1:]
     denom = float(gradL @ gradH)

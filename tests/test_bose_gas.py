@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from zerophase import bose_gas
+from zerophase.asymptotics import convergence_scan, gibbs_fixed_point, limit_F
+from zerophase.averaging import (AveragingKernel, check_resonance_free,
+                                 polynomial_spectrum, probe_proposition3)
 from zerophase.bose_gas import (DispersionSpec, LevelSet, RESIDUAL_TOL,
                                 branch_points_near, build_levels,
                                 continue_branch, discrete_energy,
@@ -18,9 +21,20 @@ from zerophase.bose_gas import (DispersionSpec, LevelSet, RESIDUAL_TOL,
                                 stability_check, theta_upper_bound,
                                 zeroth_order_certificate, _gas_solution,
                                 _mstar)
-from zerophase.condensation import (ParetoLevels, TwoLevelEconomy,
-                                    critical_number, money_at_theta,
-                                    social_explosion_scan, social_functional)
+from zerophase.condensation import (DebtLedger, LongTermDebt, ParetoLevels,
+                                    TwoLevelEconomy, condensate_excess,
+                                    critical_number, debt_supply,
+                                    empirical_threshold_model, money_at_theta,
+                                    multi_currency_threshold,
+                                    social_explosion_scan, social_functional,
+                                    sqrt_threshold_model)
+from zerophase.ensemble import (EnsembleState, closed_form_log_coeff,
+                                ensemble_from_tuple, evolve_step,
+                                init_product_state, oracle_evolve,
+                                tuple_product_state)
+from zerophase.entropy_flow import (EntropyField, FlowConfig,
+                                    ascent_trajectory, heat_semigroup_residual,
+                                    hopf_lax)
 from zerophase.errors import (BranchNotFound, BranchTerminated, InputError,
                               SolverError)
 
@@ -333,6 +347,7 @@ def test_ground_gas_state_where_the_top_target_rounds_up():
 NAN, INF = float("nan"), float("inf")
 _PARETO = ParetoLevels(gamma=1.5, k=10)
 _ECONOMY = TwoLevelEconomy(n1=5, n2=95, N=100, gamma_int=1.5)
+_FIELD = EntropyField.from_function(lambda x: -x * x, (-1.0,), (0.1,), (21,))
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -367,10 +382,96 @@ _ECONOMY = TwoLevelEconomy(n1=5, n2=95, N=100, gamma_int=1.5)
                  InputError, "finite", id="social-nan"),
     pytest.param(lambda: social_explosion_scan(_ECONOMY, [0.0, 1.0, NAN]),
                  InputError, "finite", id="social-grid-nan"),
+    pytest.param(lambda: evolve_step(init_product_state((1.0, 1.0), 2),
+                                     (0.0, 1.0), NAN),
+                 InputError, "beta must be finite", id="evolve-beta-nan"),
+    pytest.param(lambda: limit_F((1.0, 1.0), (0.0, 1.0), NAN, 1),
+                 InputError, "beta must be finite", id="limit-beta-nan"),
+    pytest.param(lambda: gibbs_fixed_point((0.0, 1.0), INF),
+                 InputError, "beta must be finite", id="gibbs-beta-inf"),
+    pytest.param(lambda: closed_form_log_coeff((1.0, 1.0), (0.0, 1.0), NAN, 2,
+                                               1, (1, 1)),
+                 InputError, "beta must be finite", id="closed-form-beta-nan"),
+    pytest.param(lambda: oracle_evolve(tuple_product_state((1.0, 1.0), 2),
+                                       (0.0, 1.0), NAN),
+                 InputError, "beta must be finite", id="oracle-evolve-beta-nan"),
+    pytest.param(lambda: ensemble_from_tuple(tuple_product_state((1.0, 1.0), 2),
+                                             step=-1),
+                 InputError, "step must be a nonnegative integer",
+                 id="state-step-negative"),
+    pytest.param(lambda: init_product_state((1.0, 1.0), 2.5),
+                 InputError, "M must be a positive integer", id="product-M-2.5"),
+    pytest.param(lambda: convergence_scan((1.0, 1.0), (0.0, 1.0), 1.0, 1.5,
+                                          (5,)),
+                 InputError, "n must be a positive integer", id="scan-n-1.5"),
+    pytest.param(lambda: AveragingKernel.linear(A=NAN),
+                 InputError, "A must be finite", id="linear-kernel-A-nan"),
+    pytest.param(lambda: probe_proposition3(1, 3, 2.5, 2, 0),
+                 InputError, "trials must be a positive integer",
+                 id="probe-trials-2.5"),
+    pytest.param(lambda: polynomial_spectrum((1.0, 2.0), 2.5),
+                 InputError, "N must be a positive integer",
+                 id="polynomial-N-2.5"),
+    pytest.param(lambda: DispersionSpec(epsilon=lambda p: p * p, L=NAN),
+                 InputError, "L must be finite", id="dispersion-L-nan"),
+    pytest.param(lambda: scalar_scan_minima(LV, NAN),
+                 InputError, "theta must be finite", id="scan-minima-nan"),
+    pytest.param(lambda: singular_exponent_fit(
+                     LV, [solve_branch(LV, th, 1)
+                          for th in np.linspace(0.2, 0.3, 8)], NAN),
+                 InputError, "theta_c must be finite", id="exponent-fit-nan"),
+    pytest.param(lambda: FlowConfig(dt=NAN),
+                 InputError, "dt must be finite", id="flow-dt-nan"),
+    pytest.param(lambda: hopf_lax(_FIELD, INF),
+                 InputError, "t must be finite", id="hopf-lax-inf"),
+    pytest.param(lambda: heat_semigroup_residual(_FIELD, INF),
+                 InputError, "t must be finite", id="heat-residual-inf"),
+    pytest.param(lambda: ascent_trajectory(_FIELD, FlowConfig(), (NAN,)),
+                 InputError, "x0 must be a point of the sampled box", id="ascent-x0-nan"),
+    pytest.param(lambda: EntropyField((NAN,), (0.1,), np.zeros(5)),
+                 InputError, "origin must be finite", id="field-origin-nan"),
+    pytest.param(lambda: EntropyField((0.0,), (NAN,), np.zeros(5)),
+                 InputError, "spacing must be finite", id="field-spacing-nan"),
+    pytest.param(lambda: ParetoLevels(gamma=NAN, k=10),
+                 InputError, "gamma must be finite", id="pareto-gamma-nan"),
+    pytest.param(lambda: debt_supply(DebtLedger(), NAN),
+                 InputError, "sigma_avg must be finite", id="sigma-avg-nan"),
+    pytest.param(lambda: LongTermDebt(300.0, INF),
+                 InputError, "years must be finite", id="long-term-years-inf"),
+    pytest.param(lambda: condensate_excess(_PARETO, 1.0, NAN),
+                 InputError, "N must be finite", id="condensate-N-nan"),
+    pytest.param(lambda: multi_currency_threshold(INF, 2,
+                                                  sqrt_threshold_model()),
+                 InputError, "M_total must be finite", id="currency-M-inf"),
+    pytest.param(lambda: empirical_threshold_model(_PARETO)(NAN),
+                 InputError, "money supply M must be finite",
+                 id="empirical-money-nan"),
+    pytest.param(lambda: TwoLevelEconomy(n1=5, n2=95, N=True, gamma_int=1.5),
+                 InputError, "N must be a positive integer", id="economy-N-bool"),
 ])
-def test_non_finite_and_extreme_inputs_raise_typed_errors(call, error, match):
+def test_non_finite_and_extreme_inputs_raise_typed_errors(call, error, match,
+                                                          capfd):
     with pytest.raises(error, match=match):
         call()
+    assert capfd.readouterr().err == ""
+
+
+def test_boundary_inputs_that_stay_valid():
+    assert math.isfinite(free_energy(LV, (0.5, 0.5), 0.0))
+    assert social_functional(_ECONOMY, 0.0).shape == (_ECONOMY.N + 1,)
+    assert log_multiplicity(LV, [1, 3], 4, 2.0) == log_multiplicity(LV, [1, 3], 4, 2)
+    grid = np.geomspace(0.01, 0.3, 8)
+    assert continue_branch(LV, 1.0, grid) == continue_branch(LV, 1, grid)
+    # integral floats are stored as the ints the count gate returns
+    spec = DispersionSpec(epsilon=lambda p: p * p, L=2 * math.pi, n_max=2.0)
+    assert (spec.n_max, dispersion_lambdas(spec).tolist()) == (2, [4.0, 1.0, 0.0, 1.0, 4.0])
+    assert repr(TwoLevelEconomy(n1=5.0, n2=95.0, N=100.0, gamma_int=1.5)) == repr(_ECONOMY)
+    assert FlowConfig(steps=5.0).steps == 5
+    state = EnsembleState(l=2.0, M=4.0, log_coeffs=np.zeros(5), step=1.0)
+    assert repr((state.l, state.M, state.step)) == "(2, 4, 1)"
+    # the resonance bound is stamped into the spectrum: no integral floats
+    with pytest.raises(InputError, match="bound K"):
+        check_resonance_free((1.0, 2.0, 3.0), 2.0)
 
 
 @pytest.mark.parametrize("lam, g, V, l", [

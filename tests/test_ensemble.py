@@ -32,6 +32,18 @@ def test_compositions_count_and_order():
     assert occ.tolist() == sorted(occ.tolist())
 
 
+def test_class_rank_is_the_row_of_compositions():
+    for l in range(1, 6):
+        for M in range(1, 13):
+            rows = compositions(M, l).tolist()
+            assert [ensemble._class_rank(r) for r in rows] == list(range(len(rows)))
+    rows = compositions(400, 3)
+    for i in np.random.default_rng(3).integers(0, len(rows), 50).tolist():
+        assert ensemble._class_index(400, 3, rows[i]) == i
+    state = init_product_state((1.0, 2.0, 0.5), 400)
+    assert state.coeff(rows[-1]) == math.exp(state.log_coeffs[-1])
+
+
 def _recursive_compositions(remaining: int, slots: int):
     # the layout's former generator: first coordinate outermost
     if slots == 1:

@@ -18,8 +18,9 @@ from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from zerophase import bose_gas, condensation, ensemble
-from zerophase._numeric import brentq, linear_sampler, log_factorial, logsumexp
-from zerophase.errors import SolverError
+from zerophase._numeric import (MAX_COUNT, brentq, check_count, check_real,
+                                linear_sampler, log_factorial, logsumexp)
+from zerophase.errors import InputError, SolverError
 
 # ---------------------------------------------------------------------------
 # logsumexp
@@ -280,3 +281,31 @@ def test_bose_log_multiplicity_equals_gammaln(occ, G):
     G_ = max(1, int(round(levels.g * N))) if G is None else G
     want = float(np.sum(gammaln(G_ + x) - gammaln(G_) - gammaln(x + 1.0)))
     assert bose_gas.log_multiplicity(levels, occ, N, G) == want
+
+
+# ---------------------------------------------------------------------------
+# scalar input gates
+
+
+def test_real_gate_returns_its_argument_or_raises():
+    for value, sign in ((0.0, "nonnegative"), (5e-324, "positive"), (-3, ""),
+                        (np.float32(2.5), "positive")):
+        assert check_real(value, "x", sign) is value
+    for value, sign in ((math.nan, ""), (math.inf, "positive"),
+                        (-math.inf, "nonnegative"), (0.0, "positive"),
+                        (-5e-324, "nonnegative"), (10**400, ""), ("1", ""),
+                        (None, ""), (np.ones(2), "")):
+        with pytest.raises(InputError, match="^x must be finite"):
+            check_real(value, "x", sign)
+
+
+def test_count_gate_accepts_integral_numbers_up_to_2_52():
+    for value in (0, 2.0, np.int64(7), np.float64(3.0), MAX_COUNT):
+        n = check_count(value, "n")
+        assert type(n) is int and n == value
+    assert check_count(1, "n", 1) == 1
+    for value, low in ((True, 0), (np.True_, 0), (1.5, 0), (math.nan, 0),
+                       (math.inf, 0), (-1, 0), (0, 1), (MAX_COUNT + 1, 0),
+                       (float(2**53), 0), ("3", 0), (None, 0)):
+        with pytest.raises(InputError, match="^n must be .* not exceed 2"):
+            check_count(value, "n", low)
