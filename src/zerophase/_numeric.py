@@ -50,15 +50,29 @@ def check_real(value, name: str, sign: str = ""):
     raise InputError(f"{name} must be finite" + (sign and f" and {sign}"))
 
 
+def _integral(value) -> bool:
+    # an integer or an integral float (2.0 too), but not a bool
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
+
+
 def check_count(value, name: str, low: int = 0) -> int:
     """int(value) for an integral number (2.0 too, no bool) in [low, MAX_COUNT]."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or float(value).is_integer())
-            and low <= int(value) <= MAX_COUNT):
+    if _integral(value) and low <= int(value) <= MAX_COUNT:
         return int(value)
     kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
         low, f"an integer >= {low}")
     raise InputError(f"{name} must be {kind} and must not exceed 2**52")
+
+
+def check_index(value, name: str, size: int) -> int:
+    """int(value) for an integral index (2.0 too, no bool) in [-size, size).
+
+    A negative index counts from the end, as in a Python sequence.
+    """
+    if _integral(value) and -size <= int(value) < size:
+        return int(value)
+    raise InputError(f"{name} must be an integer in [-{size}, {size})")
 
 
 def check_grid(values, name: str, sign: str) -> np.ndarray:

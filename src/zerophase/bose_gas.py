@@ -39,6 +39,9 @@ RESIDUAL_TOL = 1e-10
 
 _GAP_TOL = 1e-12
 
+# Newton steps the continuation corrector may take before a cold solve
+_CORRECTOR_STEPS = 12
+
 
 # ---------------------------------------------------------------------------
 # level construction
@@ -694,66 +697,142 @@ def _branch_alive(levels: LevelSet, theta: float, l: int,
     return st
 
 
+def _corrected_state(levels: LevelSet, theta: float,
+                     prev: BranchState) -> BranchState | None:
+    """The branch at theta by a tangent predictor and a Newton corrector.
+
+    The predictor follows the tangent alpha_n m_n' + ln(m_n/(g+m_n)) = mu',
+    sum m' = 0 at prev; the corrector takes undamped Newton steps on
+    (phi_n(m_n) = mu, sum m = 1), the bordered system of _bordered_newton
+    (Allgower & Georg, Introduction to Numerical Continuation Methods,
+    ch. 2 and 10).  Both move ln m rather than m (m_n <- m_n exp(dm_n/m_n)):
+    phi is nearly linear in ln m for the Boltzmann-tail occupations, which
+    a step in m would overshoot below zero or approach one e-fold at a time.
+    Once the residual is <= 1e-12 one more step polishes the state to
+    rounding.  It is accepted with every m > 0 and a stable second
+    variation (alpha_l < 0 < alpha_n for n != l) with a positive margin;
+    otherwise None, and the caller solves cold.
+    """
+    m, step, converged = prev.m_array(), theta - prev.theta, False
+    # a diverging step shows as an m that is not finite and positive
+    with np.errstate(all="ignore"):
+        dm, dmu = _bordered_solve(1.0 / prev.alphas_array(),
+                                  np.log(m / (levels.g + m)), 0.0)
+        m, mu = m * np.exp(step * dm / m), prev.mu + step * dmu
+        for _ in range(_CORRECTOR_STEPS):
+            if not np.all((m > 0) & (m < np.inf)):
+                return None
+            r, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
+            small = max(float(np.max(np.abs(r))), abs(c)) <= 1e-12
+            if small and converged:
+                break
+            converged = small
+            dm, dmu = _bordered_solve(1.0 / _alpha(levels, theta, m), r, c)
+            m, mu = m * np.exp(dm / m), mu + dmu
+        else:
+            return None
+    st = _finalize_state(levels, theta, prev.l, m, float(mu))
+    return st if st.stable and st.margin > 0 else None
+
+
+def _grid_states(levels: LevelSet, l: int,
+                 thetas: np.ndarray) -> tuple[list[BranchState], float | None]:
+    """Live states on the grid up to the first dead point, and that point.
+
+    The first point is solved cold; off the ground seed each later one is
+    predicted and corrected from the one before, with the hinted cold solve
+    as the fallback.  The dead temperature is None if the branch lives on
+    the whole grid.
+    """
+    states: list[BranchState] = []
+    for theta in map(float, thetas):
+        prev = states[-1] if states else None
+        st = None
+        if prev is not None and l != levels.ground:
+            st = _corrected_state(levels, theta, prev)
+        if st is None:
+            st = _branch_alive(levels, theta, l, None if prev is None else prev.m[l])
+        if st is None:
+            if prev is None:
+                raise BranchTerminated("branch has no solution on the given grid")
+            return states, theta
+        if prev is not None:
+            # ties allowed: below float resolution the occupations underflow
+            old, cur = prev.m_array(), st.m_array()
+            if cur[l] > old[l] or np.any(np.delete(cur, l) < np.delete(old, l)):
+                raise SolverError("branch monotonicity violated during continuation")
+        states.append(st)
+    return states, None
+
+
+def _bisect_death(levels: LevelSet, l: int, last: BranchState, hi: float,
+                  solve_live: bool) -> tuple[float, list[BranchState]]:
+    """Bisect (last.theta, hi) to 1e-8 relative; (theta_c, solved live states).
+
+    theta_c is the last live midpoint (last.theta if none is).  Past the
+    fold theta_f the branch is dead, so a midpoint above theta_f (1 + 1e-9)
+    is not solved, and with solve_live False neither is one below
+    theta_f (1 - 1e-9), which is alive; midpoints inside that band are.
+    The fold is sought from last and, while it is not found, from each new
+    live midpoint.  Not for the ground seed: its defect has a second minimum
+    at the edge x = m* (margin 1 there), whose root can outlive the fold and
+    is then the one solved.
+    """
+    lo, hint = last.theta, last.m[l]
+    fold_from = last if l != levels.ground else None
+    theta_f = None
+    live: list[BranchState] = []
+    while (hi - lo) > 1e-8 * hi:
+        if fold_from is not None:
+            theta_f = _fold_theta(levels, fold_from)
+            if theta_f is not None and not lo < theta_f < hi:
+                theta_f = None
+            fold_from = None
+        mid = 0.5 * (lo + hi)
+        if theta_f is not None and mid > theta_f * (1.0 + 1e-9):
+            alive = False
+        elif (theta_f is not None and not solve_live
+              and mid < theta_f * (1.0 - 1e-9)):
+            alive = True
+        else:
+            st = _branch_alive(levels, mid, l, hint)
+            alive = st is not None
+            if alive:
+                hint = st.m[l]
+                live.append(st)
+                if theta_f is None and l != levels.ground:
+                    fold_from = st
+        if alive:
+            lo = mid
+        else:
+            hi = mid
+    return lo, live
+
+
 def continue_branch(levels: LevelSet, l: int,
                     theta_grid: Sequence[float]) -> ContinuationResult:
     """Track the branch over an increasing temperature grid.
 
-    Earlier solutions warm-start later ones; grid states must keep the
+    Off the ground seed, each grid state after the first comes from a
+    tangent predictor and a bordered Newton corrector (a cold solve where
+    the corrector fails); the ground seed is solved at every point, each
+    solve warm-started by the one before.  Grid states must keep the
     branch's monotonicity (seed fraction falls, all others rise).  A state
     is alive when it solves, is stable and has a positive margin.  If the
     branch dies inside the grid, the gap after the last live grid point is
-    bisected to 1e-8 relative: theta_c is the last live temperature, and
-    the live bisection states follow the grid states in increasing theta.
-    BranchTerminated if the branch is dead at the first grid point.
+    bisected to 1e-8 relative, solving every live midpoint: theta_c is the
+    last live temperature, and the live bisection states follow the grid
+    states in increasing theta.  BranchTerminated if the branch is dead at
+    the first grid point.
     """
     thetas = check_grid(theta_grid, "theta grid", "positive")
     l = check_count(l, "seed level l")
-
-    states: list[BranchState] = []
-    hint = None
-    theta_c = None
-    last_good = None
-    first_bad = None
-    for theta in thetas:
-        st = _branch_alive(levels, float(theta), l, hint)
-        if st is None:
-            first_bad = float(theta)
-            break
-        if states:
-            # ties allowed: below float resolution the occupations underflow
-            prev = states[-1].m_array()
-            cur = st.m_array()
-            if cur[l] > prev[l] or np.any(np.delete(cur, l) < np.delete(prev, l)):
-                raise SolverError("branch monotonicity violated during continuation")
-        states.append(st)
-        hint = st.m[l]
-        last_good = float(theta)
-
+    states, first_bad = _grid_states(levels, l, thetas)
     if first_bad is None:
         return ContinuationResult(states=tuple(states), theta_c=None)
-    if last_good is None:
-        raise BranchTerminated("branch has no solution on the given grid")
-
-    lo, hi = last_good, first_bad
-    # past its fold the branch is dead, so midpoints clear of the fold by
-    # more than the defect's rounding need no solve; the midpoints and the
-    # hint chain stay those of the plain bisection.  Not for the ground
-    # seed: its defect has a second minimum at the edge x = m* (margin 1
-    # there), whose root can outlive the fold and is then the one solved.
-    theta_f = _fold_theta(levels, states[-1]) if l != levels.ground else None
-    dead_above = (theta_f * (1.0 + 1e-9)
-                  if theta_f is not None and lo < theta_f < hi else math.inf)
-    while (hi - lo) > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        st = None if mid > dead_above else _branch_alive(levels, mid, l, hint)
-        if st is None:
-            hi = mid
-        else:
-            lo = mid
-            hint = st.m[l]
-            states.append(st)
-    theta_c = lo
-    return ContinuationResult(states=tuple(states), theta_c=float(theta_c))
+    theta_c, live = _bisect_death(levels, l, states[-1], first_bad,
+                                  solve_live=True)
+    return ContinuationResult(states=tuple(states + live), theta_c=float(theta_c))
 
 
 # ---------------------------------------------------------------------------
@@ -888,32 +967,52 @@ def zeroth_order_certificate(levels: LevelSet, l: int) -> TransitionCertificate:
     """Free-energy jump between the dying branch and the ground state.
 
     Continues the seed-l branch over 48 geometric temperatures from 1e-3 to
-    1 times theta_upper_bound, evaluates its free energy at theta_c (at the
-    last accepted point, within the bisection tolerance), and compares with
-    the ground solution there.  A positive jump is the zeroth-order
-    signature: the free energy itself, not just its derivatives, is
-    discontinuous when the branch dies.
+    1 times theta_upper_bound by the predictor-corrector of continue_branch,
+    and bisects the gap where it dies on the same schedule, to the same
+    theta_c; midpoints that the fold decides are not solved.  The free
+    energy is then solved at theta_c and compared with the ground solution
+    there.  A positive jump is the zeroth-order signature: the free energy
+    itself, not just its derivatives, is discontinuous when the branch dies.
     """
-    return _continuation_and_certificate(levels, l)[1]
+    l = check_count(l, "seed level l")
+    states, first_bad = _grid_states(levels, l, _certificate_grid(levels, l))
+    if first_bad is None:
+        raise SolverError("branch survived the entire temperature grid")
+    theta_c, live = _bisect_death(levels, l, states[-1], first_bad,
+                                  solve_live=False)
+    if live and live[-1].theta == theta_c:
+        meta = live[-1]
+    else:
+        meta = _branch_alive(levels, theta_c, l, (live or states)[-1].m[l])
+        if meta is None:
+            raise SolverError(f"branch is dead at its critical temperature "
+                              f"{theta_c:.12g}")
+    return _certificate(levels, theta_c, meta)
+
+
+def _certificate_grid(levels: LevelSet, l: int, points: int = 48) -> np.ndarray:
+    if l == levels.ground:
+        raise InputError("certificate requires a non-ground seed")
+    hi = theta_upper_bound(levels)
+    return np.geomspace(1e-3 * hi, hi, points)
+
+
+def _certificate(levels: LevelSet, theta_c: float,
+                 meta: BranchState) -> TransitionCertificate:
+    ground = solve_branch(levels, theta_c, levels.ground)
+    return TransitionCertificate(theta_c=float(theta_c), f_meta=float(meta.f),
+                                 f_ground=float(ground.f),
+                                 jump=float(meta.f - ground.f))
 
 
 def _continuation_and_certificate(levels: LevelSet, l: int, points: int = 48
                                   ) -> tuple[ContinuationResult,
                                              TransitionCertificate]:
     # one continuation serves both the certificate and the sweep's rows
-    if l == levels.ground:
-        raise InputError("certificate requires a non-ground seed")
-    hi = theta_upper_bound(levels)
-    cont = continue_branch(levels, l, np.geomspace(1e-3 * hi, hi, points))
+    cont = continue_branch(levels, l, _certificate_grid(levels, l, points))
     if cont.theta_c is None:
         raise SolverError("branch survived the entire temperature grid")
-    meta = cont.states[-1]
-    ground = solve_branch(levels, cont.theta_c, levels.ground)
-    jump = meta.f - ground.f
-    return cont, TransitionCertificate(theta_c=float(cont.theta_c),
-                                       f_meta=float(meta.f),
-                                       f_ground=float(ground.f),
-                                       jump=float(jump))
+    return cont, _certificate(levels, cont.theta_c, cont.states[-1])
 
 
 def scalar_scan_minima(levels: LevelSet, theta: float,

@@ -34,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import as_counts, check_count, check_real, log_factorial, logsumexp
+from ._numeric import (as_counts, check_count, check_index, check_real,
+                       log_factorial, logsumexp)
 from .averaging import Spectrum, _coerce_spectrum, _coerce_weights
 from .errors import GuardExceeded, InputError
 
@@ -200,7 +201,11 @@ def state_norm(state: EnsembleState) -> float:
 
 
 def marginal(state: EnsembleState, i: int) -> float:
-    """Fraction of tuple positions at level i under the normalized state."""
+    """Fraction of tuple positions at level i under the normalized state.
+
+    i is an integer in [-l, l); a negative one counts from the last level.
+    """
+    i = check_index(i, "level index i", state.l)
     return float(marginals(state)[i])
 
 
@@ -303,7 +308,11 @@ def oracle_norm(ts: TupleState) -> float:
 
 
 def oracle_marginal(ts: TupleState, i: int) -> float:
-    """Distribution of the first system: sum of psi(i, ...) over the rest."""
+    """Distribution of the first system: sum of psi(i, ...) over the rest.
+
+    i is an integer in [-l, l); a negative one counts from the last level.
+    """
+    i = check_index(i, "level index i", ts.l)
     norm = oracle_norm(ts)
     if norm == 0:
         raise InputError("zero norm state has no marginals")

@@ -201,11 +201,16 @@ def test_stability_report_matches_state():
 
 
 def test_self_consistent_agrees_with_branch_solver():
-    # theta above the metastability bound: the whole simplex is convex
-    gas = solve_branch(LV, 5.0, 0)
-    fp = solve_self_consistent(LV, 5.0, (0.5, 0.5))
-    np.testing.assert_allclose(fp.m, gas.m, atol=1e-12)
-    np.testing.assert_allclose(fp.mu, gas.mu, rtol=1e-12)
+    # theta above the metastability bound: the whole simplex is convex.
+    # Both solvers run the bordered Newton, so the reference is the
+    # independent nested bisection.
+    [m_ref] = _bisection_gas_states([(LV.lambdas, LV.g, LV.V, 5.0)])
+    mu_ref = float(np.mean(LV.as_array() - LV.V * m_ref
+                           + 5.0 * np.log(m_ref / (LV.g + m_ref))))
+    for got in (solve_self_consistent(LV, 5.0, (0.5, 0.5)),
+                solve_branch(LV, 5.0, 0)):
+        np.testing.assert_allclose(got.m, m_ref, atol=1e-12)
+        np.testing.assert_allclose(got.mu, mu_ref, rtol=1e-12)
 
 
 def test_high_temperature_unique_and_near_softmax():
@@ -605,6 +610,78 @@ def test_bisection_solves_no_midpoint_past_the_fold(K, monkeypatch):
         assert first_dead in grid
         past = [theta for theta, _ in calls if theta > theta_f * (1 + 1e-9)]
         assert past == [first_dead], seed
+
+
+# the benchmark's certificates, the README instance (gap 1) and the level
+# gaps of acceptance criterion 6; at gaps 0.2, 0.1 and 0.05 the fold Newton
+# fails from the last grid state and converges from a live midpoint
+CERTIFICATE_CASES = (
+    [(f"bench{seed}_K{K}", _bench_levels(seed, K), K - 1)
+     for K in (2, 8, 32) for seed in range(10)]
+    + [(f"gap{d}", LevelSet.from_values((0.0, d), 1.0, 2.0), 1)
+       for d in (1.0, 0.5, 0.2, 0.1, 0.05)])
+
+
+@pytest.mark.parametrize("name,lv,l", CERTIFICATE_CASES,
+                         ids=[case[0] for case in CERTIFICATE_CASES])
+def test_certificate_matches_the_continuation_route(name, lv, l):
+    """The certificate's fold-decided bisection against the continuation
+    that solves every live midpoint: the same theta_c and ground solve, and
+    f_meta from a solve at theta_c with another hint, so within rounding.
+    The jump's rounding is that of f, not of the jump itself."""
+    cert = zeroth_order_certificate(lv, l)
+    want = bose_gas._continuation_and_certificate(lv, l)[1]
+    assert cert.theta_c == want.theta_c
+    assert cert.f_ground == want.f_ground
+    assert abs(cert.f_meta - want.f_meta) <= 1e-14 * abs(want.f_meta)
+    assert abs(cert.jump - want.jump) <= 1e-14 * abs(want.f_meta)
+
+
+def test_certificate_solve_budget(monkeypatch):
+    """A certificate solves the branch cold at the first grid point and at
+    the first dead one, solves the midpoints inside the fold's 1e-9 band,
+    the state at theta_c and the ground state: 6 solves at most."""
+    solves = []
+    solve = bose_gas.solve_branch
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bose_gas, "solve_branch", counted)
+    for name, lv, l in CERTIFICATE_CASES:
+        solves.clear()
+        zeroth_order_certificate(lv, l)
+        assert 4 <= len(solves) <= 6, (name, solves)
+
+
+@pytest.mark.parametrize("lv,l", [
+    (LV, 1), (LevelSet.from_values((0.0, 0.6, 1.0), 1.0, 2.0), 2),
+    (LevelSet.from_values((0.0, 0.6, 1.0), 1.0, 2.0), 1),
+    *[(_bench_levels(seed, K), K - 1) for K in (2, 8) for seed in range(3)],
+    (_bench_levels(0, 32), 31)])
+def test_corrector_states_match_cold_solves(lv, l, monkeypatch):
+    """Every live grid state after the first comes from the predictor and
+    corrector, and agrees with a cold solve_branch to 1e-12 relative."""
+    accepted = []
+    corrected = bose_gas._corrected_state
+
+    def record(*args):
+        st = corrected(*args)
+        if st is not None:
+            accepted.append(st)
+        return st
+
+    monkeypatch.setattr(bose_gas, "_corrected_state", record)
+    cont = continue_branch(lv, l, _certificate_grid(lv))
+    grid = set(_certificate_grid(lv).tolist())
+    live = [st for st in cont.states if st.theta in grid]
+    assert accepted == live[1:]
+    for st in accepted:
+        cold = solve_branch(lv, st.theta, l)
+        np.testing.assert_allclose(st.m, cold.m, rtol=1e-12, atol=0)
+        assert hartree_residual(st, lv) < RESIDUAL_TOL
+        assert st.stable and st.margin > 0
 
 
 # a ground branch that passes a fold near theta 1.40601 and lives on to

@@ -240,3 +240,23 @@ def test_every_route_rejects_an_invalid_weight_vector(g):
                                            lam, g)):
         with pytest.raises(InputError):
             call()
+
+
+# level index i of marginal and oracle_marginal on three levels: an integer
+# or integral float in [-3, 3), negative ones counting from the last level
+@pytest.mark.parametrize("i,want", [
+    (0, 0), (2, 2), (-1, 2), (-3, 0), (1.0, 1), (np.int64(2), 2),
+    (np.float64(-2.0), 1),
+    (3, None), (-4, None), (1.5, None), (math.nan, None), (math.inf, None),
+    (True, None), ("1", None), (None, None), (2**60, None)])
+def test_marginal_index_gate(i, want):
+    g = (1.0, 2.0, 3.0)
+    state, ts = init_product_state(g, 2), tuple_product_state(g, 2)
+    if want is None:
+        for call in (marginal, lambda s, k: oracle_marginal(ts, k)):
+            with pytest.raises(InputError, match=r"level index i must be an "
+                                                 r"integer in \[-3, 3\)"):
+                call(state, i)
+    else:
+        assert marginal(state, i) == marginals(state)[want]
+        assert oracle_marginal(ts, i) == oracle_marginal(ts, want)
