@@ -103,9 +103,10 @@ def convergence_scan(
     """Exact finite-M free energy and marginals against the limit laws.
 
     Each M runs independently through the class pipeline (n evolution steps
-    from the product state), in input order.
+    from the product state), in input order; n = 0 compares the product
+    state itself.
     """
-    n = check_count(n, "n", 1)
+    n = check_count(n, "n")
     if not M_list:
         raise InputError("M_list must be nonempty")
     g = _coerce_weights(g)

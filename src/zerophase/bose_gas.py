@@ -39,8 +39,8 @@ RESIDUAL_TOL = 1e-10
 
 _GAP_TOL = 1e-12
 
-# Newton steps the continuation corrector may take before a cold solve
-_CORRECTOR_STEPS = 12
+# Newton steps on the fixed-theta bordered system before it gives up
+_NEWTON_STEPS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,9 @@ def _phi00(levels: LevelSet, theta: float, m: float) -> float:
 
 def _alpha(levels: LevelSet, theta: float, m: float | np.ndarray):
     g = levels.g
-    return -levels.V + theta * g / (m * (g + m))
+    # a denormal m overflows the quotient to +inf, its limit
+    with np.errstate(over="ignore"):
+        return -levels.V + theta * g / (m * (g + m))
 
 
 def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> float:
@@ -369,49 +371,64 @@ def _bordered_solve(inv: np.ndarray, r: np.ndarray,
     return (dmu - r) * inv, dmu
 
 
-def _bordered_newton(levels: LevelSet, theta: float,
-                     m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Damped Newton on (phi_n(m_n) = mu, sum m = 1) from m; returns (m, mu).
+def _bordered_newton(levels: LevelSet, theta: float, m: np.ndarray,
+                     mu: float) -> tuple[np.ndarray, float] | None:
+    """Newton on (phi_n(m_n) = mu, sum m = 1) from (m, mu); (m, mu) or None.
 
-    The Jacobian is diagonal (alpha_n) plus the unit-sum border, so a step
-    costs O(K).  A trial step is accepted only when every m_n > 0 and every
-    alpha_n > 0 (all fractions on the increasing segment of phi, the gas
-    region) and the residual falls; the iteration runs until it stops
-    falling and fails unless the best residual is below 1e-12.
+    The Jacobian is diag(alpha) plus the unit-sum border: O(K) a step.
+    Undamped steps move ln m (m_n <- m_n exp(dm_n/m_n)), in which phi is
+    nearly linear for the Boltzmann-tail occupations that a step in m
+    would overshoot below zero.  The unit-sum row is linear in m, so from
+    a start far below the state the tails can grow by many e-folds: a
+    fraction past 1 + 1e-9 (a full condensate's rounding) is cut back to
+    it.  One step past the residual 1e-12 polishes to rounding.  None when
+    an m leaves (0, inf) or _NEWTON_STEPS steps do not converge; which
+    root it found, the caller checks.
     """
-    mu = float(np.mean(_phi(levels, theta, m)))
-    a = _alpha(levels, theta, m)
-    best = _residual(levels, theta, m, mu)
-    for _ in range(200):
-        dm, dmu = _bordered_solve(1.0 / a, _phi(levels, theta, m) - mu,
-                                  m.sum() - 1.0)
-        step = 1.0
-        for _ in range(40):
-            m_try = m + step * dm
-            if np.all(m_try > 0):
-                a_try = _alpha(levels, theta, m_try)
-                if np.all(a_try > 0):
-                    mu_try = mu + step * dmu
-                    res = _residual(levels, theta, m_try, mu_try)
-                    if res < best:
-                        m, mu, a, best = m_try, mu_try, a_try, res
-                        break
-            step *= 0.5
-        else:
-            break
-    if not best < 1e-12:
-        raise SolverError(f"fixed-point iteration did not converge "
-                          f"(residual {best:.3e})")
-    return m, float(mu)
+    converged = False
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if not np.all((m > 0) & (m < np.inf)):
+                return None
+            r, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
+            small = max(float(np.max(np.abs(r))), abs(c)) <= 1e-12
+            if small and converged:
+                return m, float(mu)
+            converged = small
+            dm, dmu = _bordered_solve(1.0 / _alpha(levels, theta, m), r, c)
+            m, mu = np.minimum(m * np.exp(dm / m), 1.0 + 1e-9), mu + dmu
+    return None
+
+
+def _gas_state(levels: LevelSet, theta: float,
+               m: np.ndarray) -> tuple[np.ndarray, float]:
+    # the gas state (every alpha_n > 0, so unique) by the Newton from m;
+    # its first step does not depend on the starting mu
+    with np.errstate(all="ignore"):
+        state = _bordered_newton(levels, theta, m,
+                                 float(np.mean(_phi(levels, theta, m))))
+    if state is None or not np.all(_alpha(levels, theta, state[0]) > 0):
+        raise SolverError("fixed-point iteration did not converge to a gas state")
+    return state
 
 
 def _gas_solution(levels: LevelSet, theta: float) -> tuple[np.ndarray, float]:
-    """All-low-root solution: the bordered Newton from the uniform fraction."""
+    """All-low-root solution: the bordered Newton from a Boltzmann start.
+
+    The start is the Boltzmann fraction of the mean-field levels
+    lambda_n - V w_n, w that of the bare levels: from w itself the steps
+    leave the gas region more often.  exp(-700) keeps a far level
+    positive; one ln-m step fixes it.
+    """
     # every m_n < m* and sum m = 1 need K m* > 1, i.e. alpha(1/K) > 0
-    m0 = 1.0 / levels.size
-    if _alpha(levels, theta, m0) <= 0:
+    if _alpha(levels, theta, 1.0 / levels.size) <= 0:
         raise SolverError("gas solution does not exist at this temperature")
-    return _bordered_newton(levels, theta, np.full(levels.size, m0))
+    lam = levels.as_array()
+    with np.errstate(all="ignore"):
+        w = np.exp(np.maximum((lam.min() - lam) / theta, -700.0))
+        e = lam - levels.V * (w / w.sum())
+        w = np.exp(np.maximum((e.min() - e) / theta, -700.0))
+    return _gas_state(levels, theta, w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -424,11 +441,10 @@ class StabilityReport:
 def _stability(levels: LevelSet, theta: float, l: int,
                m: np.ndarray) -> StabilityReport:
     alphas = _alpha(levels, theta, m)
-    others = np.delete(alphas, l)
-    stable = bool(np.all(others > 0) and alphas[l] < 0
-                  and (-np.sum(alphas[l] / others)) < 1.0)
+    margin = _margin(alphas, l)  # 1 + s > 0 exactly when -s < 1
+    stable = bool(np.all(np.delete(alphas, l) > 0) and alphas[l] < 0 and margin > 0)
     return StabilityReport(alphas=tuple(float(a) for a in alphas),
-                           stable=stable, margin=_margin(alphas, l))
+                           stable=stable, margin=margin)
 
 
 def _margin(alphas: np.ndarray, l: int) -> float:
@@ -565,13 +581,14 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
 
 def solve_self_consistent(levels: LevelSet, theta: float,
                           m0: Sequence[float]) -> FixedPoint:
-    """Damped Newton iteration on (phi_n(m_n) = mu, sum m = 1) from a guess.
+    """The gas state (every alpha_n > 0) by Newton steps in ln m from a guess.
 
-    Intended for the convex regime (high temperature), where the iteration
-    converges from any simplex start; at low temperature the outcome depends
-    on the basin of the initial guess and the iteration may fail.  The same
-    iteration, started from the uniform fraction, gives the ground seed's
-    gas candidate in solve_branch.
+    Intended for the convex regime (theta above theta_upper_bound), where
+    the gas state is the only stationary point; the undamped iteration
+    reaches it from sparse and near-vertex starts, though a start far from
+    it can exhaust the step budget.  At low temperature the outcome
+    depends on the basin of the guess.  SolverError on failure.  The same
+    iteration gives solve_branch's gas candidate and the corrector.
     """
     check_real(theta, "theta", "positive")
     m = np.asarray(m0, dtype=float)
@@ -580,7 +597,7 @@ def solve_self_consistent(levels: LevelSet, theta: float,
     if not np.all(m > 0):
         raise InputError("initial guess must be positive")
     m = np.clip(m, 1e-12, 0.95 * _mstar(levels, theta))
-    m, mu = _bordered_newton(levels, theta, m)
+    m, mu = _gas_state(levels, theta, m)
     return FixedPoint(theta=float(theta), m=tuple(float(v) for v in m),
                       mu=float(mu))
 
@@ -697,41 +714,34 @@ def _branch_alive(levels: LevelSet, theta: float, l: int,
     return st
 
 
+def _tangent(levels: LevelSet,
+             st: BranchState) -> tuple[np.ndarray, float, np.ndarray]:
+    # (m', mu', L) at st, L = ln(m/(g+m)) = d phi/d theta: implicit
+    # differentiation, alpha_n m_n' + L_n = mu' and sum m' = 0
+    m = st.m_array()
+    L = np.log(m / (levels.g + m))
+    dm, dmu = _bordered_solve(1.0 / st.alphas_array(), L, 0.0)
+    return dm, dmu, L
+
+
 def _corrected_state(levels: LevelSet, theta: float,
                      prev: BranchState) -> BranchState | None:
     """The branch at theta by a tangent predictor and a Newton corrector.
 
-    The predictor follows the tangent alpha_n m_n' + ln(m_n/(g+m_n)) = mu',
-    sum m' = 0 at prev; the corrector takes undamped Newton steps on
-    (phi_n(m_n) = mu, sum m = 1), the bordered system of _bordered_newton
-    (Allgower & Georg, Introduction to Numerical Continuation Methods,
-    ch. 2 and 10).  Both move ln m rather than m (m_n <- m_n exp(dm_n/m_n)):
-    phi is nearly linear in ln m for the Boltzmann-tail occupations, which
-    a step in m would overshoot below zero or approach one e-fold at a time.
-    Once the residual is <= 1e-12 one more step polishes the state to
-    rounding.  It is accepted with every m > 0 and a stable second
-    variation (alpha_l < 0 < alpha_n for n != l) with a positive margin;
-    otherwise None, and the caller solves cold.
+    The predictor steps along _tangent at prev in ln m, as the corrector
+    _bordered_newton does (Allgower & Georg, Introduction to Numerical
+    Continuation Methods, ch. 2 and 10).  The state is accepted when stable
+    (alpha_l < 0 < alpha_n for n != l) with a positive margin; otherwise
+    None, and the caller solves cold.
     """
-    m, step, converged = prev.m_array(), theta - prev.theta, False
-    # a diverging step shows as an m that is not finite and positive
+    m, step = prev.m_array(), theta - prev.theta
     with np.errstate(all="ignore"):
-        dm, dmu = _bordered_solve(1.0 / prev.alphas_array(),
-                                  np.log(m / (levels.g + m)), 0.0)
-        m, mu = m * np.exp(step * dm / m), prev.mu + step * dmu
-        for _ in range(_CORRECTOR_STEPS):
-            if not np.all((m > 0) & (m < np.inf)):
-                return None
-            r, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
-            small = max(float(np.max(np.abs(r))), abs(c)) <= 1e-12
-            if small and converged:
-                break
-            converged = small
-            dm, dmu = _bordered_solve(1.0 / _alpha(levels, theta, m), r, c)
-            m, mu = m * np.exp(dm / m), mu + dmu
-        else:
-            return None
-    st = _finalize_state(levels, theta, prev.l, m, float(mu))
+        dm, dmu, _ = _tangent(levels, prev)
+        state = _bordered_newton(levels, theta, m * np.exp(step * dm / m),
+                                 prev.mu + step * dmu)
+    if state is None:
+        return None
+    st = _finalize_state(levels, theta, prev.l, *state)
     return st if st.stable and st.margin > 0 else None
 
 
@@ -866,11 +876,7 @@ def entropy_and_capacity(levels: LevelSet,
     s = np.array([st.s for st in states])
     analytic = np.empty_like(s)
     for j, st in enumerate(states):
-        # implicit differentiation of phi_n(m_n) = mu under sum m = 1:
-        # alpha_n m_n' + ln(m_n/(g+m_n)) = mu',  sum m' = 0
-        m = st.m_array()
-        L = np.log(m / (levels.g + m))
-        dm, _ = _bordered_solve(1.0 / st.alphas_array(), L, 0.0)
+        dm, _, L = _tangent(levels, st)
         idx = np.arange(levels.size) != st.l
         analytic[j] = float(np.sum(dm[idx] * (L[st.l] - L[idx])))
     fd = np.full_like(s, np.nan)

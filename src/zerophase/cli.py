@@ -258,21 +258,15 @@ _LIMITS_OPTS = (
 
 
 def _run_limits(params: dict) -> int:
-    g, lam, beta = params["g"], params["lambda"], params["beta"]
     rows = []
-    last_limit = None
     for n in params["n"]:
-        f_limit = asymptotics.limit_F(g, lam, beta, n)
-        last_limit = f_limit
-        for M in params["M"]:
-            state = ensemble.init_product_state(g, M)
-            for _ in range(n):
-                state = ensemble.evolve_step(state, lam, beta)
-            f_exact = ensemble.specific_free_energy(state, beta)
-            rows.append([n, M, f_exact, f_limit, abs(f_exact - f_limit)])
+        rep = asymptotics.convergence_scan(params["g"], params["lambda"],
+                                           params["beta"], n, params["M"])
+        rows += [[n, M, f, rep.F_limit, err]
+                 for M, f, err in zip(rep.M_values, rep.F_exact, rep.errors)]
     on_stdout = _emit_csv(["n", "M", "F_exact", "F_limit", "abs_error"],
                           rows, params["out"])
-    _say(f"limits: F_limit = {_G % last_limit} at n = {params['n'][-1]}",
+    _say(f"limits: F_limit = {_G % rep.F_limit} at n = {params['n'][-1]}",
          on_stdout)
     return 0
 

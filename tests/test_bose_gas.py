@@ -310,6 +310,20 @@ def _gas_instances():
         phi00 = -V * m + theta * np.log(m / (g + m))
         lam = rng.uniform(-5.0, 5.0) + phi00[0] - phi00
         out.append((LevelSet.from_values(lam, g, V), theta))
+    # undamped steps leave the gas region and diverge from the uniform
+    # start here (K = 25), and from the bare Boltzmann fraction below
+    # (K = 27, three low levels near m*)
+    out.append((LevelSet.from_values(
+        (0.001, 0.035, 0.074, 0.243, 0.633, 0.724, 0.774, 0.888, 0.927, 1.013,
+         1.121, 1.15, 1.193, 1.261, 1.425, 1.483, 1.566, 1.589, 1.685, 1.716,
+         1.845, 2.101, 2.128, 2.196, 2.376),
+        4.969271777621383, 1.0572286902527768), 0.4134522511847985))
+    out.append((LevelSet.from_values(
+        (-2.4217, -2.4161, -2.4115, -2.1733, -2.1727, -2.0337, -1.9093,
+         -1.8362, -1.8209, -1.7651, -1.748, -1.7096, -1.6254, -1.5598,
+         -1.5372, -1.3265, -1.2591, -1.2586, -1.2367, -1.1725, -1.157,
+         -1.1017, -1.0858, -1.0226, -1.0171, -1.012, -0.9372),
+        0.1192, 0.6091), 0.4967))
     return out
 
 
@@ -335,6 +349,68 @@ def test_gas_candidate_matches_nested_bisection():
     assert 100 < found < len(cases) - 40
     assert below_bound > 80 and found - below_bound > 40 and shifted > 80
     assert top_ratio > 0.99
+
+
+def test_gas_solution_gives_up_within_the_newton_budget(monkeypatch):
+    """Where K m* > 1 but no gas state exists, _gas_solution raises after
+    at most one Newton run: _NEWTON_STEPS bordered solves."""
+    cases = [(lv, theta) for lv, theta in _gas_instances()
+             if bose_gas._alpha(lv, theta, 1.0 / lv.size) > 0]
+    want = _bisection_gas_states([(lv.lambdas, lv.g, lv.V, theta)
+                                  for lv, theta in cases])
+    calls = []
+    bordered_solve = bose_gas._bordered_solve
+
+    def counted(*args):
+        calls.append(1)
+        return bordered_solve(*args)
+
+    monkeypatch.setattr(bose_gas, "_bordered_solve", counted)
+    missing = [case for case, m in zip(cases, want) if m is None]
+    assert len(missing) > 20
+    for lv, theta in missing:
+        calls.clear()
+        with pytest.raises(SolverError):
+            _gas_solution(lv, theta)
+        assert 1 <= len(calls) <= bose_gas._NEWTON_STEPS, (lv, theta)
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 8, 16, 32])
+def test_self_consistent_converges_from_any_start_above_the_bound(K):
+    """Above theta_upper_bound the gas state is the only stationary point;
+    the iteration reaches it from sparse Dirichlet(0.05) starts and from
+    starts within 1e-12 to 1e-2 of a vertex."""
+    rng = np.random.default_rng(100 + K)
+    for _ in range(4):
+        lam = np.sort(rng.uniform(0.0, 10 ** rng.uniform(-2, 0.5), K))
+        lv = LevelSet.from_values(lam + rng.uniform(-5.0, 5.0),
+                                  10 ** rng.uniform(-1, 1), rng.uniform(0.5, 4.0))
+        theta = theta_upper_bound(lv) * rng.uniform(1.0, 3.0)
+        m_ref, _ = _gas_solution(lv, theta)
+        starts = [np.maximum(rng.dirichlet(np.full(K, 0.05)), 1e-300)
+                  for _ in range(6)]
+        for n in rng.choice(K, size=min(K, 4), replace=False):
+            eps = 10 ** rng.uniform(-12, -2)
+            start = np.full(K, eps / (K - 1))
+            start[n] = 1.0 - eps
+            starts.append(start)
+        for start in starts:
+            got = solve_self_consistent(lv, theta, start)
+            np.testing.assert_allclose(got.m, m_ref, rtol=1e-12, atol=0)
+
+
+def test_self_consistent_from_an_excited_vertex():
+    # the unit-sum row is linear in m, so the first step grows the starved
+    # ground fraction many e-folds past 1; cut back, the iteration converges
+    lv = LevelSet.from_values((-4.1418, -2.8083, -2.468), 4.768, 0.9802)
+    theta = 1.25 * theta_upper_bound(lv)
+    m_ref, _ = _gas_solution(lv, theta)
+    for n in (1, 2):
+        for eps in (1e-8, 1e-4):
+            start = np.full(3, 0.5 * eps)
+            start[n] = 1.0 - eps
+            got = solve_self_consistent(lv, theta, start)
+            np.testing.assert_allclose(got.m, m_ref, rtol=1e-12, atol=0)
 
 
 def test_ground_gas_state_where_the_top_target_rounds_up():
@@ -408,7 +484,7 @@ _FIELD = EntropyField.from_function(lambda x: -x * x, (-1.0,), (0.1,), (21,))
                  InputError, "M must be a positive integer", id="product-M-2.5"),
     pytest.param(lambda: convergence_scan((1.0, 1.0), (0.0, 1.0), 1.0, 1.5,
                                           (5,)),
-                 InputError, "n must be a positive integer", id="scan-n-1.5"),
+                 InputError, "n must be a nonnegative integer", id="scan-n-1.5"),
     pytest.param(lambda: AveragingKernel.linear(A=NAN),
                  InputError, "A must be finite", id="linear-kernel-A-nan"),
     pytest.param(lambda: probe_proposition3(1, 3, 2.5, 2, 0),
@@ -498,6 +574,19 @@ def test_low_root_underflow_raises_solver_error(lam, g, V, l):
         solve_branch(lv, theta, l)
     with pytest.raises(BranchTerminated):
         continue_branch(lv, l, np.geomspace(theta, 1000 * theta, 42))
+
+
+def test_denormal_occupation_overflows_alpha_silently():
+    # at the first grid point a low root is denormal, so alpha = -V +
+    # theta g/(m (g+m)) overflows to +inf, its limit; the branch is dead
+    # there, and no overflow warning may escape on the way
+    lv = LevelSet.from_values(
+        (0.09958292371652822, 0.38449306451449705, 0.4202880606357171,
+         0.4784893731503794), 2.350308821157822, 1.9577011050974304)
+    with pytest.raises(BranchTerminated):
+        zeroth_order_certificate(lv, 2)
+    with pytest.raises(BranchTerminated):
+        continue_branch(lv, 2, _certificate_grid(lv))
 
 
 def test_scan_oracle_locates_both_minima():
