@@ -198,15 +198,21 @@ def free_energy(levels: LevelSet, m: Sequence[float], theta: float) -> float:
     """Specific free energy of a fraction vector at temperature theta."""
     m = _check_fractions(np.asarray(m, dtype=float), levels.size)
     check_real(theta, "theta", "nonnegative")
-    energy = levels.as_array() @ m - 0.5 * levels.V * np.sum(m * m)
-    return float(energy - theta * specific_entropy(levels, m))
+    return _f_and_s(levels, m, theta)[0]
 
 
 def specific_entropy(levels: LevelSet, m: Sequence[float]) -> float:
     """Mixing entropy sum (g+m)ln(1+m/g) - m ln(m/g) of a fraction vector."""
     m = _check_fractions(np.asarray(m, dtype=float), levels.size)
+    return _f_and_s(levels, m, 0.0)[1]
+
+
+def _f_and_s(levels: LevelSet, m: np.ndarray, theta: float) -> tuple[float, float]:
+    # (free energy, entropy) of a checked fraction vector
     g = levels.g
-    return float(np.sum((g + m) * np.log1p(m / g) - m * np.log(m / g)))
+    s = float(np.sum((g + m) * np.log1p(m / g) - m * np.log(m / g)))
+    energy = levels.as_array() @ m - 0.5 * levels.V * np.sum(m * m)
+    return float(energy - theta * s), s
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +387,13 @@ def _bordered_newton(levels: LevelSet, theta: float, m: np.ndarray,
     would overshoot below zero.  The unit-sum row is linear in m, so from
     a start far below the state the tails can grow by many e-folds: a
     fraction past 1 + 1e-9 (a full condensate's rounding) is cut back to
-    it.  One step past the residual 1e-12 polishes to rounding.  None when
-    an m leaves (0, inf) or _NEWTON_STEPS steps do not converge; which
-    root it found, the caller checks.
+    it.  One step past the residual 1e-12 polishes to rounding; the last
+    step's iterate is checked too.  None when an m leaves (0, inf) or
+    _NEWTON_STEPS steps do not converge; the caller checks the root.
     """
     converged = False
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
+        for steps in range(_NEWTON_STEPS + 1):
             if not np.all((m > 0) & (m < np.inf)):
                 return None
             r, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
@@ -395,8 +401,9 @@ def _bordered_newton(levels: LevelSet, theta: float, m: np.ndarray,
             if small and converged:
                 return m, float(mu)
             converged = small
-            dm, dmu = _bordered_solve(1.0 / _alpha(levels, theta, m), r, c)
-            m, mu = np.minimum(m * np.exp(dm / m), 1.0 + 1e-9), mu + dmu
+            if steps < _NEWTON_STEPS:
+                dm, dmu = _bordered_solve(1.0 / _alpha(levels, theta, m), r, c)
+                m, mu = np.minimum(m * np.exp(dm / m), 1.0 + 1e-9), mu + dmu
     return None
 
 
@@ -455,16 +462,16 @@ def _margin(alphas: np.ndarray, l: int) -> float:
 
 def _finalize_state(levels: LevelSet, theta: float, l: int, m: np.ndarray,
                     mu: float) -> BranchState:
+    # a NaN residual (a negative m) fails too
     resid = _residual(levels, theta, m, mu)
-    if resid > RESIDUAL_TOL:
+    if not resid <= RESIDUAL_TOL:
         raise SolverError(f"branch residual {resid:.3e} exceeds tolerance")
     st = _stability(levels, theta, l, m)
-    f = free_energy(levels, m, theta)
-    s = specific_entropy(levels, m)
+    f, s = _f_and_s(levels, m, theta)
     return BranchState(l=int(l), theta=float(theta),
                        m=tuple(float(v) for v in m), mu=float(mu),
                        alphas=st.alphas, stable=st.stable, margin=st.margin,
-                       f=float(f), s=float(s))
+                       f=f, s=s)
 
 
 def solve_branch(levels: LevelSet, theta: float, l: int,
@@ -647,52 +654,43 @@ def _fold_theta(levels: LevelSet, st: BranchState) -> float | None:
 
     Unknowns (m, mu, theta), equations phi_n(m_n) = mu, sum m = 1 and
     margin = 0, the last of which is regular at the fold where the
-    fixed-theta system is singular (Keller 1977).  The Jacobian is diag(alpha)
-    with a mu column, a theta column ln(m/(g+m)), the unit-sum row and the
-    margin row; eliminating the diagonal leaves a 2x2 system in (dmu, dtheta),
-    so a step costs O(K).  Returns None unless the residual reaches 1e-12 at
-    a point with every m > 0 and alpha_l < 0 < alpha_n for n != l where the
-    unit-sum defect D(x) of the seed fraction x has a minimum (D'' > 0).
-    That is where the branch's stable root dies as theta rises: the alpha
-    signs give m_l > m* > m_n, so D rises with theta there.
+    fixed-theta system is singular (Keller 1977).  A step is the fixed-theta
+    bordered step plus dtheta times the _tangent, the margin row fixing
+    dtheta: O(K).  None where dtheta is undefined; else None unless the
+    residual reaches 1e-12 at a point with every m > 0 and alpha_l < 0 <
+    alpha_n for n != l where the unit-sum defect D(x) of the seed fraction x
+    has a minimum (D'' > 0).  That is where the branch's stable root dies as
+    theta rises: the alpha signs give m_l > m* > m_n, so D rises there.
     """
-    lam = levels.as_array()
-    g, V, l = levels.g, levels.V, st.l
+    g, l = levels.g, st.l
     others = np.arange(levels.size) != l
     m, mu, theta = st.m_array(), st.mu, st.theta
     for _ in range(50):
-        ln_ratio = np.log(m / (g + m))
-        q = g / (m * (g + m))  # d alpha / d theta
-        a = -V + theta * q
+        a = _alpha(levels, theta, m)
         inv = 1.0 / a
         s = float(np.sum(inv[others]))
-        F = lam - V * m + theta * ln_ratio - mu
-        c = float(m.sum() - 1.0)
+        F, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
         margin = 1.0 + a[l] * s
         # margin row: d margin/dm_n and d margin/dtheta, with
-        # d alpha/dm = -theta q (g + 2m)/(m (g+m))
+        # q = d alpha/d theta and d alpha/dm = -theta q (g + 2m)/(m (g+m))
+        q = g / (m * (g + m))
         da_dm = -theta * q * (g + 2.0 * m) / (m * (g + m))
         row = -a[l] * da_dm * inv * inv
         row[l] = da_dm[l] * s
         d_theta = q[l] * s - a[l] * float(np.sum((q * inv * inv)[others]))
-        # dm = inv (dmu - F - ln_ratio dtheta); the unit-sum and margin rows
-        # then give A (dmu, dtheta) = b
-        u, w = inv * F, inv * ln_ratio
-        a11, a12, b1 = inv.sum(), -w.sum(), u.sum() - c
-        a21, a22, b2 = row @ inv, d_theta - row @ w, row @ u - margin
         if max(float(np.max(np.abs(F))), abs(c), abs(margin)) <= 1e-12:
             # along the seed fraction dm_n/dx = alpha_l/alpha_n, so
-            # D'' = alpha_l (row . 1/alpha) = alpha_l a21
+            # D'' = alpha_l (row . 1/alpha)
             ok = (np.all(m > 0) and a[l] < 0 and np.all(a[others] > 0)
-                  and a[l] * a21 > 0)
+                  and a[l] * (row @ inv) > 0)
             return float(theta) if ok else None
-        det = a11 * a22 - a12 * a21
-        if not (math.isfinite(det) and det != 0):
+        dm, dmu = _bordered_solve(inv, F, c)
+        tm, tmu, _ = _tangent(levels, m, inv)
+        den = float(d_theta + row @ tm)
+        if not (math.isfinite(den) and den != 0):
             return None
-        dmu = (b1 * a22 - a12 * b2) / det
-        dth = (a11 * b2 - a21 * b1) / det
-        m = m + inv * (dmu - F - ln_ratio * dth)
-        mu, theta = mu + dmu, theta + dth
+        dth = -(margin + float(row @ dm)) / den
+        m, mu, theta = m + (dm + dth * tm), mu + (dmu + dth * tmu), theta + dth
         if not (np.all(m > 0) and theta > 0):
             return None
     return None
@@ -714,13 +712,12 @@ def _branch_alive(levels: LevelSet, theta: float, l: int,
     return st
 
 
-def _tangent(levels: LevelSet,
-             st: BranchState) -> tuple[np.ndarray, float, np.ndarray]:
-    # (m', mu', L) at st, L = ln(m/(g+m)) = d phi/d theta: implicit
-    # differentiation, alpha_n m_n' + L_n = mu' and sum m' = 0
-    m = st.m_array()
+def _tangent(levels: LevelSet, m: np.ndarray,
+             inv: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    # (m', mu', L) at m with inv = 1/alpha, L = ln(m/(g+m)) = d phi/d theta:
+    # implicit differentiation, alpha_n m_n' + L_n = mu' and sum m' = 0
     L = np.log(m / (levels.g + m))
-    dm, dmu = _bordered_solve(1.0 / st.alphas_array(), L, 0.0)
+    dm, dmu = _bordered_solve(inv, L, 0.0)
     return dm, dmu, L
 
 
@@ -736,7 +733,7 @@ def _corrected_state(levels: LevelSet, theta: float,
     """
     m, step = prev.m_array(), theta - prev.theta
     with np.errstate(all="ignore"):
-        dm, dmu, _ = _tangent(levels, prev)
+        dm, dmu, _ = _tangent(levels, m, 1.0 / prev.alphas_array())
         state = _bordered_newton(levels, theta, m * np.exp(step * dm / m),
                                  prev.mu + step * dmu)
     if state is None:
@@ -825,15 +822,15 @@ def continue_branch(levels: LevelSet, l: int,
 
     Off the ground seed, each grid state after the first comes from a
     tangent predictor and a bordered Newton corrector (a cold solve where
-    the corrector fails); the ground seed is solved at every point, each
-    solve warm-started by the one before.  Grid states must keep the
-    branch's monotonicity (seed fraction falls, all others rise).  A state
-    is alive when it solves, is stable and has a positive margin.  If the
-    branch dies inside the grid, the gap after the last live grid point is
-    bisected to 1e-8 relative, solving every live midpoint: theta_c is the
-    last live temperature, and the live bisection states follow the grid
-    states in increasing theta.  BranchTerminated if the branch is dead at
-    the first grid point.
+    the corrector fails), the walk branch_points_near takes too; the ground
+    seed is solved at every point, warm-started by the one before.  Grid
+    states must keep the branch's monotonicity (seed fraction falls, all
+    others rise).  A state is alive when it solves, is stable and has a
+    positive margin.  If the branch dies inside the grid, the gap after the
+    last live grid point is bisected to 1e-8 relative, solving every live
+    midpoint cold: theta_c is the last live temperature, and the live
+    bisection states follow the grid states in increasing theta.
+    BranchTerminated if the branch is dead at the first grid point.
     """
     thetas = check_grid(theta_grid, "theta grid", "positive")
     l = check_count(l, "seed level l")
@@ -876,7 +873,7 @@ def entropy_and_capacity(levels: LevelSet,
     s = np.array([st.s for st in states])
     analytic = np.empty_like(s)
     for j, st in enumerate(states):
-        dm, _, L = _tangent(levels, st)
+        dm, _, L = _tangent(levels, st.m_array(), 1.0 / st.alphas_array())
         idx = np.arange(levels.size) != st.l
         analytic[j] = float(np.sum(dm[idx] * (L[st.l] - L[idx])))
     fd = np.full_like(s, np.nan)
@@ -946,15 +943,20 @@ def singular_exponent_fit(levels: LevelSet, states: Sequence[BranchState],
 
 def branch_points_near(levels: LevelSet, l: int, theta_c: float,
                        deltas: Sequence[float]) -> tuple:
-    """Solve the branch at theta_c - delta for each requested offset."""
-    out = []
-    hint = None
-    for d in sorted(np.asarray(deltas, dtype=float), reverse=True):
+    """The branch at theta_c - delta for each offset, by increasing theta.
+
+    The grid walk of continue_branch: the lowest temperature solved cold,
+    the rest by its predictor-corrector.  BranchTerminated if one is dead.
+    """
+    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
+    for d in deltas:
         check_real(d, "offsets below theta_c", "positive")
-        st = solve_branch(levels, theta_c - d, l, hint=hint)
-        hint = st.m[l]
-        out.append(st)
-    return tuple(out)
+        check_real(theta_c - d, "theta", "positive")
+    states, first_bad = _grid_states(levels, check_count(l, "seed level l"),
+                                     theta_c - deltas)
+    if first_bad is not None:
+        raise BranchTerminated(f"branch terminated at theta {first_bad:.12g}")
+    return tuple(states)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,17 +91,22 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
-def load_config(path: str) -> dict:
-    """Parse a `key = value` file into a raw-string map; flags override it."""
+def _lines(path: str, what: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of the lines left nonblank by cutting `#` comments."""
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise InputError(f"cannot read config file: {e}")
-    out: dict[str, str] = {}
+        raise InputError(f"cannot read {what} file: {e}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+        if body:
+            yield lineno, body
+
+
+def load_config(path: str) -> dict:
+    """Parse a `key = value` file into a raw-string map; flags override it."""
+    out: dict[str, str] = {}
+    for lineno, body in _lines(path, "config"):
         if "=" not in body:
             raise InputError(f"{path}:{lineno}: expected `key = value`")
         key, _, value = body.partition("=")
@@ -375,16 +380,8 @@ _DEBT_OPTS = (
 
 def read_ledger(path: str) -> condensation.DebtLedger:
     """Load `kind, principal, velocity-or-years` lines into a ledger."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise InputError(f"cannot read ledger file: {e}")
-    positions = []
-    long_term = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    positions, long_term = [], []
+    for lineno, body in _lines(path, "ledger"):
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 3:
             raise InputError(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from zerophase import bose_gas
 from zerophase.asymptotics import convergence_scan, gibbs_fixed_point, limit_F
 from zerophase.averaging import (AveragingKernel, check_resonance_free,
                                  polynomial_spectrum, probe_proposition3)
-from zerophase.bose_gas import (DispersionSpec, LevelSet, RESIDUAL_TOL,
+from zerophase.bose_gas import (BranchState, DispersionSpec, LevelSet,
+                                RESIDUAL_TOL,
                                 branch_points_near, build_levels,
                                 continue_branch, discrete_energy,
                                 dispersion_lambdas, entropy_and_capacity,
@@ -413,6 +415,32 @@ def test_self_consistent_from_an_excited_vertex():
             np.testing.assert_allclose(got.m, m_ref, rtol=1e-12, atol=0)
 
 
+def test_self_consistent_converges_on_the_last_newton_step(monkeypatch):
+    """The residual first falls below 1e-12 at iterate 11, so the polish
+    is the last step of the budget; the iterate it makes is the state."""
+    lv = LevelSet.from_values(
+        (0.14780319083501728, 0.24773546922512152, 0.3072667987031084,
+         0.416673110983993, 0.8016903907590592, 0.8827774080498574,
+         0.8879433292772736, 1.2633249246897624),
+        1.3277454027745075, 0.9278618580444193)
+    theta = 1.6335068289228154  # 1.0042 theta_upper_bound
+    m_ref, _ = _gas_solution(lv, theta)
+    eps = 5.117418350598668e-07
+    start = np.full(8, eps / 7)
+    start[4] = 1.0 - eps
+    calls = []
+    bordered_solve = bose_gas._bordered_solve
+
+    def counted(*args):
+        calls.append(1)
+        return bordered_solve(*args)
+
+    monkeypatch.setattr(bose_gas, "_bordered_solve", counted)
+    got = solve_self_consistent(lv, theta, start)
+    assert len(calls) == bose_gas._NEWTON_STEPS
+    np.testing.assert_allclose(got.m, m_ref, rtol=1e-14, atol=0)
+
+
 def test_ground_gas_state_where_the_top_target_rounds_up():
     # 1.1 x theta_upper_bound, so the problem is convex; a nested search
     # whose top target (min lambda + phi00(m*)) - lambda_0 rounds above
@@ -808,6 +836,18 @@ def test_fold_solve_rejects_a_maximum_of_the_defect():
     assert bose_gas._fold_theta(lv, last_grid) is None
 
 
+def test_fold_newton_stops_where_dtheta_is_undefined():
+    # at m = (1/2, 1/2) with theta g = m (g+m), alpha = 1/2 on both levels
+    # exactly: the tangent is 0 and the margin's theta derivative cancels,
+    # so the step's dtheta has a zero denominator
+    lv = LevelSet.from_values((0.0, 1.0), 1.0, 0.5)
+    st = BranchState(l=1, theta=0.75, m=(0.5, 0.5), mu=0.0, alphas=(0.5, 0.5),
+                     stable=False, margin=2.0, f=0.0, s=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bose_gas._fold_theta(lv, st) is None
+
+
 def _guard_cases() -> list:
     three = LevelSet.from_values((0.0, 0.6, 1.0), 1.0, 2.0)
     lv, l, n = GROUND_PAST_FOLD
@@ -869,6 +909,45 @@ def test_singular_exponent_near_half():
     assert abs(fit.exponent - 0.5) < 0.05
     assert fit.C < 0
     np.testing.assert_allclose(fit.exponent, 0.499334662912, rtol=1e-4)
+
+
+# the README instance, the three-level README config (both seeds) and the
+# benchmark's K = 2 and K = 8 certificates, seeds 0-2
+NEAR_CASES = [(LV, 1), (LevelSet.from_values((0.0, 0.6, 1.0), 1.0, 2.0), 2),
+              (LevelSet.from_values((0.0, 0.6, 1.0), 1.0, 2.0), 1),
+              *[(_bench_levels(seed, K), K - 1)
+                for K in (2, 8) for seed in range(3)]]
+
+
+@pytest.mark.parametrize("lv,l", NEAR_CASES, ids=[
+    "gap1", "three_l2", "three_l1",
+    *[f"bench{seed}_K{K}" for K in (2, 8) for seed in range(3)]])
+def test_points_near_the_fold_match_cold_solves(lv, l):
+    """The offsets below theta_c, walked by the predictor-corrector in
+    increasing theta, agree with a cold solve at each to 1e-12 relative."""
+    theta_c = zeroth_order_certificate(lv, l).theta_c
+    deltas = np.geomspace(1e-6, 1e-4, 9)
+    states = branch_points_near(lv, l, theta_c, deltas)
+    assert [st.theta for st in states] == (theta_c - deltas[::-1]).tolist()
+    for st in states:
+        cold = solve_branch(lv, st.theta, l)
+        np.testing.assert_allclose(st.m, cold.m, rtol=1e-12, atol=0)
+        assert st.stable and st.margin > 0
+
+
+def test_points_near_the_fold_solve_cold_once(monkeypatch):
+    theta_c = zeroth_order_certificate(LV, 1).theta_c
+    solves = []
+    solve = bose_gas.solve_branch
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bose_gas, "solve_branch", counted)
+    states = branch_points_near(LV, 1, theta_c, np.geomspace(1e-6, 1e-4, 9))
+    assert len(states) == 9
+    assert solves == [states[0].theta]
 
 
 def test_gap_sweep_shrinks_the_jump():
