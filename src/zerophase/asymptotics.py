@@ -71,10 +71,11 @@ def gibbs_fixed_point(
     """
     lam = _coerce_spectrum(spectrum).as_array()
     check_real(beta, "beta", "positive")
-    idx = np.arange(lam.size) if support is None else np.asarray(sorted(set(support)), dtype=int)
+    idx = np.arange(lam.size) if support is None else np.asarray(
+        sorted({check_count(i, "support index") for i in support}), dtype=int)
     if idx.size == 0:
         raise InputError("support must be nonempty")
-    if idx.min() < 0 or idx.max() >= lam.size:
+    if idx.max() >= lam.size:
         raise InputError("support indices out of range")
     F_inf = float(-logsumexp(-beta * lam[idx]) / beta)
     w_inf = np.exp(-beta * lam - logsumexp(-beta * lam))
@@ -107,6 +108,7 @@ def convergence_scan(
     state itself.
     """
     n = check_count(n, "n")
+    M_list = [check_count(M, "M", 1) for M in M_list]
     if not M_list:
         raise InputError("M_list must be nonempty")
     g = _coerce_weights(g)
@@ -127,7 +129,7 @@ def convergence_scan(
         n=n,
         F_limit=F_lim,
         w_limit=w_lim,
-        M_values=tuple(int(M) for M in M_list),
+        M_values=tuple(M_list),
         F_exact=F_exact,
         errors=np.abs(F_exact - F_lim),
         w_exact=w_exact,
@@ -136,9 +138,15 @@ def convergence_scan(
 
 
 def kl_divergence(w: np.ndarray, rho: np.ndarray) -> float:
-    """Kullback-Leibler divergence KL(w || rho), conventions 0 ln 0 = 0."""
-    w = np.asarray(w, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    """Kullback-Leibler divergence KL(w || rho), conventions 0 ln 0 = 0.
+
+    w and rho are weight vectors of equal length (finite, nonnegative, not
+    all zero); inf where rho vanishes and w does not.
+    """
+    w = _coerce_weights(w).as_array()
+    rho = _coerce_weights(rho).as_array()
+    if w.shape != rho.shape:
+        raise InputError("w and rho must have equal length")
     mask = w > 0
     if np.any(rho[mask] <= 0):
         return float("inf")

@@ -293,7 +293,8 @@ def certify_resonance_free(spectrum: Spectrum, bound: int) -> Spectrum:
 
 def polynomial_spectrum(coefficients: Iterable[float], N: int) -> Spectrum:
     """Levels lam_j = sum_q A_q j^q for j = 0..N (N+1 levels)."""
-    coeffs = [float(c) for c in coefficients]
+    coeffs = [float(check_real(c, "polynomial coefficient"))
+              for c in coefficients]
     if not coeffs:
         raise InputError("need at least one polynomial coefficient")
     N = check_count(N, "N", 1)
@@ -318,7 +319,7 @@ def probe_proposition3(p: int, N: int, trials: int, bound: int, seed: int) -> Pr
     """
     trials = check_count(trials, "trials", 1)
     p = check_count(p, "polynomial degree p")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed"))
     failures = 0
     witnesses: list[tuple[int, ...] | None] = []
     for _ in range(trials):

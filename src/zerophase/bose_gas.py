@@ -537,8 +537,8 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
         # keep the binding low root strictly solvable
         x_lo = min(1.0, x_lo * (1.0 + 1e-13) + 1e-300)
 
-    # brentq re-evaluates its bracket ends, and the polish starts from its
-    # last point: each seed fraction is profiled once
+    # brentq re-evaluates its bracket ends, and it returns a point it has
+    # evaluated: each seed fraction is profiled once
     profiles: dict[float, tuple[np.ndarray, float]] = {}
 
     def profile(x: float) -> tuple[np.ndarray, float]:
@@ -568,19 +568,7 @@ def _condensate_solution(levels: LevelSet, theta: float, l: int, mstar: float,
             return None
         left = x_min
 
-    x_hat = brentq(defect, left, 1.0, xtol=1e-15, rtol=8.9e-16)
-    m, mu = profile(x_hat)
-    # Newton polish on the defect; its exact slope is the stability margin
-    for _ in range(4):
-        d = float(m.sum() - 1.0)
-        margin = _margin(_alpha(levels, theta, m), l)
-        if abs(d) < 1e-14 or margin <= 0:
-            break
-        x_new = x_hat - d / margin
-        if not (x_lo <= x_new <= 1.0):
-            break
-        x_hat = x_new
-        m, mu = profile(x_hat)
+    m, mu = profile(brentq(defect, left, 1.0, xtol=1e-15, rtol=8.9e-16))
     m[l] += 1.0 - m.sum()  # absorb the last sub-1e-14 defect into the seed
 
     return m, mu
@@ -772,19 +760,25 @@ def _grid_states(levels: LevelSet, l: int,
     return states, None
 
 
-def _bisect_death(levels: LevelSet, l: int, last: BranchState, hi: float,
-                  solve_live: bool) -> tuple[float, list[BranchState]]:
-    """Bisect (last.theta, hi) to 1e-8 relative; (theta_c, solved live states).
+def _bisect_death(levels: LevelSet, l: int, states: list[BranchState],
+                  hi: float | None,
+                  solve_live: bool) -> tuple[list[BranchState], float | None]:
+    """Bisect (states[-1].theta, hi) to 1e-8 relative; (states, theta_c).
 
-    theta_c is the last live midpoint (last.theta if none is).  Past the
-    fold theta_f the branch is dead, so a midpoint above theta_f (1 + 1e-9)
-    is not solved, and with solve_live False neither is one below
-    theta_f (1 - 1e-9), which is alive; midpoints inside that band are.
-    The fold is sought from last and, while it is not found, from each new
-    live midpoint.  Not for the ground seed: its defect has a second minimum
-    at the edge x = m* (margin 1 there), whose root can outlive the fold and
-    is then the one solved.
+    The grid states come back followed by the solved live midpoints, and
+    theta_c is the last live midpoint (states[-1].theta if none is); theta_c
+    is None, and states as given, when hi is None.  Past the fold theta_f
+    the branch is dead, so a midpoint above theta_f (1 + 1e-9) is not
+    solved, and with solve_live False neither is one below theta_f
+    (1 - 1e-9), which is alive; midpoints inside that band are.  The fold
+    is sought from the last grid state and, while it is not found, from
+    each new live midpoint.  Not for the ground seed: its defect has a
+    second minimum at the edge x = m* (margin 1 there), whose root can
+    outlive the fold and is then the one solved.
     """
+    if hi is None:
+        return states, None
+    last = states[-1]
     lo, hint = last.theta, last.m[l]
     fold_from = last if l != levels.ground else None
     theta_f = None
@@ -813,7 +807,7 @@ def _bisect_death(levels: LevelSet, l: int, last: BranchState, hi: float,
             lo = mid
         else:
             hi = mid
-    return lo, live
+    return states + live, lo
 
 
 def continue_branch(levels: LevelSet, l: int,
@@ -834,12 +828,9 @@ def continue_branch(levels: LevelSet, l: int,
     """
     thetas = check_grid(theta_grid, "theta grid", "positive")
     l = check_count(l, "seed level l")
-    states, first_bad = _grid_states(levels, l, thetas)
-    if first_bad is None:
-        return ContinuationResult(states=tuple(states), theta_c=None)
-    theta_c, live = _bisect_death(levels, l, states[-1], first_bad,
-                                  solve_live=True)
-    return ContinuationResult(states=tuple(states + live), theta_c=float(theta_c))
+    states, theta_c = _bisect_death(levels, l, *_grid_states(levels, l, thetas),
+                                    solve_live=True)
+    return ContinuationResult(states=tuple(states), theta_c=theta_c)
 
 
 # ---------------------------------------------------------------------------
@@ -978,24 +969,14 @@ def zeroth_order_certificate(levels: LevelSet, l: int) -> TransitionCertificate:
     1 times theta_upper_bound by the predictor-corrector of continue_branch,
     and bisects the gap where it dies on the same schedule, to the same
     theta_c; midpoints that the fold decides are not solved.  The free
-    energy is then solved at theta_c and compared with the ground solution
-    there.  A positive jump is the zeroth-order signature: the free energy
+    energy at theta_c (the last live midpoint's, or one solve) is compared
+    with the ground solution there.  A positive jump is the zeroth-order signature: the free energy
     itself, not just its derivatives, is discontinuous when the branch dies.
     """
     l = check_count(l, "seed level l")
-    states, first_bad = _grid_states(levels, l, _certificate_grid(levels, l))
-    if first_bad is None:
-        raise SolverError("branch survived the entire temperature grid")
-    theta_c, live = _bisect_death(levels, l, states[-1], first_bad,
-                                  solve_live=False)
-    if live and live[-1].theta == theta_c:
-        meta = live[-1]
-    else:
-        meta = _branch_alive(levels, theta_c, l, (live or states)[-1].m[l])
-        if meta is None:
-            raise SolverError(f"branch is dead at its critical temperature "
-                              f"{theta_c:.12g}")
-    return _certificate(levels, theta_c, meta)
+    return _certificate(levels, l, *_bisect_death(
+        levels, l, *_grid_states(levels, l, _certificate_grid(levels, l)),
+        solve_live=False))
 
 
 def _certificate_grid(levels: LevelSet, l: int, points: int = 48) -> np.ndarray:
@@ -1005,8 +986,18 @@ def _certificate_grid(levels: LevelSet, l: int, points: int = 48) -> np.ndarray:
     return np.geomspace(1e-3 * hi, hi, points)
 
 
-def _certificate(levels: LevelSet, theta_c: float,
-                 meta: BranchState) -> TransitionCertificate:
+def _certificate(levels: LevelSet, l: int, states: Sequence[BranchState],
+                 theta_c: float | None) -> TransitionCertificate:
+    # the state at theta_c: the last one when it sits there (always, on the
+    # continuation route), else one hinted solve
+    if theta_c is None:
+        raise SolverError("branch survived the entire temperature grid")
+    meta = states[-1]
+    if meta.theta != theta_c:
+        meta = _branch_alive(levels, theta_c, l, meta.m[l])
+        if meta is None:
+            raise SolverError(f"branch is dead at its critical temperature "
+                              f"{theta_c:.12g}")
     ground = solve_branch(levels, theta_c, levels.ground)
     return TransitionCertificate(theta_c=float(theta_c), f_meta=float(meta.f),
                                  f_ground=float(ground.f),
@@ -1018,9 +1009,7 @@ def _continuation_and_certificate(levels: LevelSet, l: int, points: int = 48
                                              TransitionCertificate]:
     # one continuation serves both the certificate and the sweep's rows
     cont = continue_branch(levels, l, _certificate_grid(levels, l, points))
-    if cont.theta_c is None:
-        raise SolverError("branch survived the entire temperature grid")
-    return cont, _certificate(levels, cont.theta_c, cont.states[-1])
+    return cont, _certificate(levels, l, cont.states, cont.theta_c)
 
 
 def scalar_scan_minima(levels: LevelSet, theta: float,

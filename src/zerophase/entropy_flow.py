@@ -350,6 +350,8 @@ def calibrate_c(dlambda_dt: float, field: EntropyField,
     gradient pairing leaves c undetermined and raises.
     """
     check_real(dlambda_dt, "dlambda_dt")
+    if boundary not in _BOUNDARIES:
+        raise InputError(f"boundary must be one of {_BOUNDARIES}")
     xv = _point_in_box(field, x, "x")
     gradH = _sampler(field, boundary)(xv)[0, 1:]
     gradL = _sampler(price_field, boundary)(xv)[0, 1:]

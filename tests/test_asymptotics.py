@@ -78,6 +78,15 @@ def test_convergence_scan_errors_shrink():
     assert report.errors[2] < 0.6 * report.errors[1]
 
 
+@pytest.mark.parametrize("sizes", [(m for m in (50, 100)), np.array([50, 100])],
+                         ids=["generator", "ndarray"])
+def test_convergence_scan_reads_the_sizes_once(sizes):
+    want = convergence_scan(G3, LAM3, 1.0, 1, (50, 100))
+    got = convergence_scan(G3, LAM3, 1.0, 1, sizes)
+    assert got.M_values == (50, 100)
+    assert np.array_equal(got.F_exact, want.F_exact)
+
+
 def test_kl_divergence_properties():
     w = np.array([0.2, 0.3, 0.5])
     assert kl_divergence(w, w) == 0.0

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from zerophase import bose_gas
-from zerophase.asymptotics import convergence_scan, gibbs_fixed_point, limit_F
+from zerophase.asymptotics import (convergence_scan, gibbs_fixed_point,
+                                   kl_divergence, limit_F)
 from zerophase.averaging import (AveragingKernel, check_resonance_free,
                                  polynomial_spectrum, probe_proposition3)
 from zerophase.bose_gas import (BranchState, DispersionSpec, LevelSet,
@@ -35,8 +36,8 @@ from zerophase.ensemble import (EnsembleState, closed_form_log_coeff,
                                 init_product_state, oracle_evolve,
                                 tuple_product_state)
 from zerophase.entropy_flow import (EntropyField, FlowConfig,
-                                    ascent_trajectory, heat_semigroup_residual,
-                                    hopf_lax)
+                                    ascent_trajectory, calibrate_c,
+                                    heat_semigroup_residual, hopf_lax)
 from zerophase.errors import (BranchNotFound, BranchTerminated, InputError,
                               SolverError)
 
@@ -557,6 +558,28 @@ _FIELD = EntropyField.from_function(lambda x: -x * x, (-1.0,), (0.1,), (21,))
                  id="empirical-money-nan"),
     pytest.param(lambda: TwoLevelEconomy(n1=5, n2=95, N=True, gamma_int=1.5),
                  InputError, "N must be a positive integer", id="economy-N-bool"),
+    *[pytest.param(lambda index=index: gibbs_fixed_point((0.0, 1.0), 1.0,
+                                                         support=[index]),
+                   InputError, "support index must be a nonnegative integer",
+                   id=f"gibbs-support-{index}")
+      for index in (1.5, True, "a", NAN)],
+    *[pytest.param(lambda seed=seed: probe_proposition3(1, 3, 2, 2, seed),
+                   InputError, "seed must be a nonnegative integer",
+                   id=f"probe-seed-{seed}")
+      for seed in (-1, 1.5, "a", None)],
+    pytest.param(lambda: polynomial_spectrum((1.0, INF), 3),
+                 InputError, "polynomial coefficient must be finite",
+                 id="polynomial-coefficient-inf"),
+    pytest.param(lambda: calibrate_c(0.1, _FIELD, _FIELD, (0.5,), "bogus"),
+                 InputError, "boundary must be one of", id="calibrate-boundary"),
+    pytest.param(lambda: kl_divergence([NAN, 1.0], [0.5, 0.5]),
+                 InputError, "weights must be finite", id="kl-nan"),
+    pytest.param(lambda: kl_divergence([0.5, 0.5], [-0.5, 1.5]),
+                 InputError, "weights must be finite", id="kl-negative"),
+    pytest.param(lambda: kl_divergence([0.5, 0.5], [1.0]),
+                 InputError, "equal length", id="kl-length"),
+    pytest.param(lambda: kl_divergence([0.0, 0.0], [0.5, 0.5]),
+                 InputError, "empty support", id="kl-all-zero"),
 ])
 def test_non_finite_and_extreme_inputs_raise_typed_errors(call, error, match,
                                                           capfd):
@@ -948,6 +971,30 @@ def test_points_near_the_fold_solve_cold_once(monkeypatch):
     states = branch_points_near(LV, 1, theta_c, np.geomspace(1e-6, 1e-4, 9))
     assert len(states) == 9
     assert solves == [states[0].theta]
+
+
+@pytest.mark.parametrize("lv,l", [(LV, 1), *[(_bench_levels(seed, K), K - 1)
+                                             for K in (2, 8, 32)
+                                             for seed in range(3)]],
+                         ids=["gap1", *[f"bench{seed}_K{K}" for K in (2, 8, 32)
+                                        for seed in range(3)]])
+def test_condensate_root_meets_the_unit_sum(lv, l, monkeypatch):
+    """brentq brackets the seed fraction's root to about 2e-15, where the
+    unit-sum defect's slope, the margin, is below 1 on a stable state: the
+    root it returns leaves a defect of at most 1e-14, with no Newton
+    polish after it."""
+    defects = []
+    brentq = bose_gas.brentq
+
+    def recorded(f, *args, **kwargs):
+        x = brentq(f, *args, **kwargs)
+        if f.__name__ == "defect":
+            defects.append(abs(f(x)))
+        return x
+
+    monkeypatch.setattr(bose_gas, "brentq", recorded)
+    continue_branch(lv, l, _certificate_grid(lv))
+    assert defects and max(defects) <= 1e-14
 
 
 def test_gap_sweep_shrinks_the_jump():
