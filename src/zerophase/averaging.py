@@ -299,7 +299,9 @@ def polynomial_spectrum(coefficients: Iterable[float], N: int) -> Spectrum:
         raise InputError("need at least one polynomial coefficient")
     N = check_count(N, "N", 1)
     points = np.arange(N + 1, dtype=float)
-    values = sum(c * points**q for q, c in enumerate(coeffs))
+    # finite coefficients can overflow the sum; Spectrum rejects the inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sum(c * points**q for q, c in enumerate(coeffs))
     return Spectrum(tuple(float(v) for v in values))
 
 

@@ -695,9 +695,7 @@ def _branch_alive(levels: LevelSet, theta: float, l: int,
         raise
     except SolverError:
         return None
-    if st.margin <= 0 or not st.stable:
-        return None
-    return st
+    return st if st.stable else None
 
 
 def _tangent(levels: LevelSet, m: np.ndarray,
@@ -727,7 +725,7 @@ def _corrected_state(levels: LevelSet, theta: float,
     if state is None:
         return None
     st = _finalize_state(levels, theta, prev.l, *state)
-    return st if st.stable and st.margin > 0 else None
+    return st if st.stable else None
 
 
 def _grid_states(levels: LevelSet, l: int,

@@ -19,6 +19,9 @@ Conventions shared by all subcommands:
     one-line summary goes to stdout, or to stderr when the CSV itself
     occupies stdout.
   * exit 0 on success, 2 on bad input, 3 when a solver or guard gives up.
+  * output is written once the subcommand has finished: one that fails
+    while computing (exit 2 or 3) writes no CSV to stdout or `--out`, and
+    an output path that cannot be written is exit 2 with stdout empty.
   * outputs depend only on the scenario; reruns are byte-identical.
 """
 
@@ -158,28 +161,34 @@ def _cell(v: Any) -> str:
     return "%.12g" % float(v)
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Any]],
-              path: str | None) -> bool:
-    """Write one CSV; returns True when it went to stdout."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
-        return False
-    sys.stdout.write(text)
-    return True
+def _write(tables: Sequence[tuple], summary: str) -> None:
+    """Emit a finished command's (header, rows, path) tables and summary.
 
-
-def _say(line: str, csv_on_stdout: bool) -> None:
-    print(line, file=sys.stderr if csv_on_stdout else sys.stdout)
+    A CSV goes to its path, or to stdout when the path is unset; stdout is
+    written last, so an unwritable path leaves it empty.  The summary goes
+    to stderr once a CSV occupies stdout.
+    """
+    on_stdout = []
+    for header, rows, path in tables:
+        text = "".join(",".join(map(_cell, row)) + "\n"
+                       for row in [header, *rows])
+        if path:
+            try:
+                Path(path).write_text(text)
+            except OSError as e:
+                raise InputError(f"cannot write output file: {e}")
+        else:
+            on_stdout.append(text)
+    sys.stdout.write("".join(on_stdout))
+    print(summary, file=sys.stderr if on_stdout else sys.stdout)
 
 
 _G = "%.12g"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each runner returns ([(header, rows, out path), ...], summary)
+# and writes nothing; run hands both to _write
 
 
 _AVG_OPTS = (
@@ -190,7 +199,7 @@ _AVG_OPTS = (
 )
 
 
-def _run_avg(params: dict) -> int:
+def _run_avg(params: dict) -> tuple:
     lam = params["lambda"]
     p = params["p"] if params["p"] is not None else tuple(1.0 / len(lam) for _ in lam)
     if params["kernel"] == "exponential":
@@ -200,8 +209,7 @@ def _run_avg(params: dict) -> int:
     else:
         raise InputError("kernel must be exponential or linear")
     value = averaging.financial_average(kernel, lam, p)
-    _say(f"avg = {_G % value}", False)
-    return 0
+    return [], f"avg = {_G % value}"
 
 
 _SPECTRUM_OPTS = (
@@ -210,15 +218,13 @@ _SPECTRUM_OPTS = (
 )
 
 
-def _run_spectrum_check(params: dict) -> int:
+def _run_spectrum_check(params: dict) -> tuple:
     report = averaging.check_resonance_free(params["lambda"], params["bound"])
+    line = f"resonance-free within bound {params['bound']}: "
     if report.holds:
-        _say(f"resonance-free within bound {params['bound']}: yes", False)
-    else:
-        witness = ",".join(str(k) for k in report.witness)
-        _say(f"resonance-free within bound {params['bound']}: no; "
-             f"witness = {witness}", False)
-    return 0
+        return [], line + "yes"
+    witness = ",".join(str(k) for k in report.witness)
+    return [], line + f"no; witness = {witness}"
 
 
 _EVOLVE_OPTS = (
@@ -231,7 +237,7 @@ _EVOLVE_OPTS = (
 )
 
 
-def _run_evolve(params: dict) -> int:
+def _run_evolve(params: dict) -> tuple:
     g, lam = params["g"], params["lambda"]
     if len(g) != len(lam):
         raise InputError("--g and --lambda must have equal length")
@@ -246,10 +252,8 @@ def _run_evolve(params: dict) -> int:
         rows.append([step, ensemble.state_norm(state),
                      ensemble.specific_free_energy(state, params["beta"]),
                      *w])
-    on_stdout = _emit_csv(header, rows, params["out"])
-    _say(f"evolve: {params['steps']} steps, final F = {_G % rows[-1][2]}",
-         on_stdout)
-    return 0
+    return ([(header, rows, params["out"])],
+            f"evolve: {params['steps']} steps, final F = {_G % rows[-1][2]}")
 
 
 _LIMITS_OPTS = (
@@ -262,18 +266,16 @@ _LIMITS_OPTS = (
 )
 
 
-def _run_limits(params: dict) -> int:
+def _run_limits(params: dict) -> tuple:
     rows = []
     for n in params["n"]:
         rep = asymptotics.convergence_scan(params["g"], params["lambda"],
                                            params["beta"], n, params["M"])
         rows += [[n, M, f, rep.F_limit, err]
                  for M, f, err in zip(rep.M_values, rep.F_exact, rep.errors)]
-    on_stdout = _emit_csv(["n", "M", "F_exact", "F_limit", "abs_error"],
-                          rows, params["out"])
-    _say(f"limits: F_limit = {_G % rep.F_limit} at n = {params['n'][-1]}",
-         on_stdout)
-    return 0
+    header = ["n", "M", "F_exact", "F_limit", "abs_error"]
+    return ([(header, rows, params["out"])],
+            f"limits: F_limit = {_G % rep.F_limit} at n = {params['n'][-1]}")
 
 
 _BOSE_OPTS = (
@@ -288,7 +290,7 @@ _BOSE_OPTS = (
 )
 
 
-def _run_bose_sweep(params: dict) -> int:
+def _run_bose_sweep(params: dict) -> tuple:
     levels = bose_gas.LevelSet.from_values(params["levels"], params["g"],
                                            params["V"], params["D"])
     l = params["seed_level"]
@@ -302,7 +304,6 @@ def _run_bose_sweep(params: dict) -> int:
               + ["mu", "f", "s", "margin"])
     rows = [[st.theta, *st.m, st.mu, st.f, st.s, st.margin]
             for st in cont.states]
-    on_stdout = _emit_csv(header, rows, params["out"])
     line = (f"bose sweep: theta_c = {_G % cert.theta_c}, "
             f"jump = {_G % cert.jump}")
     deltas = np.geomspace(1e-6, 1e-4, 9)
@@ -312,8 +313,7 @@ def _run_bose_sweep(params: dict) -> int:
         line += f", exponent_fit = {_G % fit.exponent}"
     except (SolverError, InputError):
         line += ", exponent_fit = unavailable"
-    _say(line, on_stdout)
-    return 0
+    return [(header, rows, params["out"])], line
 
 
 _FLOW_OPTS = (
@@ -330,7 +330,7 @@ _FLOW_OPTS = (
 )
 
 
-def _run_flow(params: dict) -> int:
+def _run_flow(params: dict) -> tuple:
     xmin, xmax, n = _grid_spec(params["grid"], "--grid", 3)
     spacing = (xmax - xmin) / (n - 1)
     coeffs = params["h0_poly"]
@@ -348,21 +348,17 @@ def _run_flow(params: dict) -> int:
         raise InputError("mode must be max, min, or smooth")
     xs = field0.axes()[0]
     rows = [[x, h0v, htv] for x, h0v, htv in zip(xs, field0.H, field_t.H)]
-    on_stdout = _emit_csv(["x", "H0", "Ht"], rows, params["out"])
-
+    tables = [(["x", "H0", "Ht"], rows, params["out"])]
+    line = f"flow: H range [{_G % field_t.H.min()}, {_G % field_t.H.max()}]"
     if params["x0"] is not None:
         config = entropy_flow.FlowConfig(dt=params["dt"],
                                          steps=params["flow_steps"])
         traj = entropy_flow.ascent_trajectory(field0, config, (params["x0"],))
         trows = [[i, pt[0], hv]
                  for i, (pt, hv) in enumerate(zip(traj.points, traj.H_values))]
-        on_stdout |= _emit_csv(["step", "x", "H"], trows, params["traj_out"])
-        _say(f"flow: H range [{_G % field_t.H.min()}, {_G % field_t.H.max()}], "
-             f"trajectory exited = {str(traj.exited).lower()}", on_stdout)
-    else:
-        _say(f"flow: H range [{_G % field_t.H.min()}, {_G % field_t.H.max()}]",
-             on_stdout)
-    return 0
+        tables.append((["step", "x", "H"], trows, params["traj_out"]))
+        line += f", trajectory exited = {_cell(traj.exited)}"
+    return tables, line
 
 
 _DEBT_OPTS = (
@@ -399,7 +395,7 @@ def read_ledger(path: str) -> condensation.DebtLedger:
     return condensation.DebtLedger(tuple(positions), tuple(long_term))
 
 
-def _run_debt(params: dict) -> int:
+def _run_debt(params: dict) -> tuple:
     ledger = read_ledger(params["ledger"])
     supply = condensation.debt_supply(ledger, params["sigma_avg"])
     if params["theta"] is not None:
@@ -415,9 +411,7 @@ def _run_debt(params: dict) -> int:
         header = ["M", "N"]
         rows = [[supply.M, supply.N]]
         summary = f"debt: M = {_G % supply.M}, N = {_G % supply.N}"
-    on_stdout = _emit_csv(header, rows, params["out"])
-    _say(summary, on_stdout)
-    return 0
+    return [(header, rows, params["out"])], summary
 
 
 _SOCIAL_OPTS = (
@@ -432,7 +426,7 @@ _SOCIAL_OPTS = (
 )
 
 
-def _run_social(params: dict) -> int:
+def _run_social(params: dict) -> tuple:
     lo, hi, count = _grid_spec(params["T_grid"], "--T-grid", 2)
     eco = condensation.TwoLevelEconomy(n1=params["n1"], n2=params["n2"],
                                        N=params["N"],
@@ -440,14 +434,13 @@ def _run_social(params: dict) -> int:
                                        sign_convention=params["sign"])
     scan = condensation.social_explosion_scan(eco, np.linspace(lo, hi, count))
     rows = list(zip(scan.T, scan.argmin_N1, scan.E_parts))
-    on_stdout = _emit_csv(["T", "argmin_N1", "E_part"], rows, params["out"])
+    tables = [(["T", "argmin_N1", "E_part"], rows, params["out"])]
     if scan.T_star is None:
-        _say(f"social: no explosion on the grid "
-             f"(largest one-step move = {scan.jump_size})", on_stdout)
-    else:
-        _say(f"social: T_star = {_G % scan.T_star}, jump = {scan.jump_size}, "
-             f"kinetic outburst = {_G % scan.kinetic_outburst}", on_stdout)
-    return 0
+        return tables, (f"social: no explosion on the grid "
+                        f"(largest one-step move = {scan.jump_size})")
+    return tables, (f"social: T_star = {_G % scan.T_star}, "
+                    f"jump = {scan.jump_size}, "
+                    f"kinetic outburst = {_G % scan.kinetic_outburst}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +502,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     if "action" in ns:
         key = f"{key}.{ns['action']}"
     opts, fn, _ = _COMMANDS[key]
-    return fn(_resolve((*opts, _SEED), ns))
+    _write(*fn(_resolve((*opts, _SEED), ns)))
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -570,6 +570,13 @@ _FIELD = EntropyField.from_function(lambda x: -x * x, (-1.0,), (0.1,), (21,))
     pytest.param(lambda: polynomial_spectrum((1.0, INF), 3),
                  InputError, "polynomial coefficient must be finite",
                  id="polynomial-coefficient-inf"),
+    # finite coefficients whose sum overflows to inf, or to inf - inf
+    pytest.param(lambda: polynomial_spectrum((1e308, 1e308), 3),
+                 InputError, "spectrum values must be finite",
+                 id="polynomial-sum-overflow"),
+    pytest.param(lambda: polynomial_spectrum((1e308, -1e308, 1e308), 3),
+                 InputError, "spectrum values must be finite",
+                 id="polynomial-sum-invalid"),
     pytest.param(lambda: calibrate_c(0.1, _FIELD, _FIELD, (0.5,), "bogus"),
                  InputError, "boundary must be one of", id="calibrate-boundary"),
     pytest.param(lambda: kl_divergence([NAN, 1.0], [0.5, 0.5]),

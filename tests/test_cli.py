@@ -455,3 +455,71 @@ def test_bose_sweep_names_a_cancelled_fold_fraction(capsys):
                              "--V", "2", "--g", "1e20")
     assert code == 3 and out == ""
     assert err.startswith("solver failure: fold fraction m* cancels")
+
+
+_FLOW_PARABOLA = ["flow", "--grid=-1,1,5", "--h0-poly", "0,0,-1", "--t", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_FLOW_PARABOLA, "--x0", "3"],  # the start lies off the grid
+    [*_FLOW_PARABOLA, "--x0", "0.1", "--flow-steps", "0"],
+    [*_FLOW_PARABOLA, "--x0", "0.1", "--dt=-1", "--out", "snap.csv"],
+], ids=["x0-off-grid", "no-steps", "negative-dt-to-file"])
+def test_rejected_trajectory_writes_no_snapshot(tmp_path, monkeypatch,
+                                                capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "snap.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--g", "1,1", "--lambda", "0,1", "--M", "4", "--steps", "3",
+     "--out", "missing/e.csv"],
+    # the snapshot would go to stdout: nothing may reach it
+    [*_FLOW_PARABOLA, "--x0", "0.1", "--traj-out", "missing/t.csv"],
+], ids=["evolve-out", "flow-traj-out"])
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file: ")
+    assert "missing/" in err
+
+
+# (argv, its file flags): each flag names one CSV, in stdout order
+_ROUTED = [
+    (["evolve", "--g", "1,1", "--lambda", "0,1", "--beta", "0.7", "--M", "4",
+      "--steps", "3"], ["--out"]),
+    (["limits", "--g", "1,1", "--lambda", "0,1", "--n", "0,1",
+      "--M", "50,100"], ["--out"]),
+    (["bose", "sweep", "--levels", "0,1", "--V", "2", "--g", "1",
+      "--theta-points", "16"], ["--out"]),
+    ([*_FLOW_PARABOLA, "--mode", "smooth", "--x0", "0.2", "--flow-steps", "20"],
+     ["--out", "--traj-out"]),
+    (["debt", "--ledger", "ledger.txt", "--sigma-avg", "2", "--theta", "1"],
+     ["--out"]),
+    (["social", "--n1", "5", "--n2", "95", "--N", "100", "--gamma", "1.5",
+      "--T-grid", "0,2,20"], ["--out"]),
+]
+
+
+@pytest.mark.parametrize("argv, flags", _ROUTED,
+                         ids=[argv[0] for argv, _ in _ROUTED])
+def test_out_files_hold_the_stdout_csv(tmp_path, monkeypatch, capsys,
+                                       argv, flags):
+    (tmp_path / "ledger.txt").write_text("position, 100, 2.0\n"
+                                         "long_term, 300, 10\n")
+    monkeypatch.chdir(tmp_path)
+    code, csv, summary = run_cli(capsys, *argv)
+    assert code == 0
+    assert summary.count("\n") == 1
+    paths = [f"table{i}.csv" for i in range(len(flags))]
+    outputs = [arg for flag, path in zip(flags, paths) for arg in (flag, path)]
+    code, out, err = run_cli(capsys, *argv, *outputs)
+    assert code == 0
+    assert "".join((tmp_path / path).read_text() for path in paths) == csv
+    assert (out, err) == (summary, "")
