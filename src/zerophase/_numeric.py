@@ -200,42 +200,29 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
                       f"(x = {xcur!r})")
 
 
-def logsumexp(a, axis: int | None = None, b=None):
-    """log(sum(b * exp(a))) over axis (None or -1), as SciPy's.
+def logsumexp(a, axis: int | None = None):
+    """log(sum(exp(a))) over axis (None or -1), as SciPy's.
 
     Splits the max terms off the sum (Blanchard, Higham & Higham, IMA J.
     Numer. Anal. 41, 2021), and where that is not finite returns the direct
-    log of the sum of the original terms.  Zero weights drop their terms;
-    a negative total gives NaN.  a must be nonempty; float64 only.
+    log of the sum of the original terms.  a must be nonempty; float64 only.
+    A weighted sum of exponentials is the caller's: add ln b to a.
     """
-    a = np.asarray(a, dtype=float)
-    if b is not None:
-        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
-    a = np.atleast_1d(a)
-    b = None if b is None else np.atleast_1d(b)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = a if b is None else np.where(b == 0, -np.inf, a)
-        a_max = np.max(rest, axis=axis, keepdims=True)
-        i_max = rest == a_max
-        rest = np.where(i_max, -np.inf, rest)
-        i_max = i_max.astype(float)
-        m = np.sum(i_max if b is None else b * i_max, axis=axis,
+        a_max = np.max(a, axis=axis, keepdims=True)
+        i_max = a == a_max
+        m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(i_max, -np.inf, a) - a_max), axis=axis,
                    keepdims=True, dtype=float)
-        terms = (np.exp(rest - a_max) if b is None
-                 else b * np.exp(rest - a_max))
-        s = np.sum(terms, axis=axis, keepdims=True, dtype=float)
         s = np.where(s == 0, s, s / m)
-        sgn = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-    out[sgn < 0] = np.nan
+        out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
     if not finite.all():
         # SciPy evaluates this fallback everywhere; only these rows use it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a),
-                                   axis=axis, keepdims=True))
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
         out = np.where(finite, out, direct)
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out

@@ -158,8 +158,8 @@ def financial_average(
 
     if kernel.kind == "exponential":
         beta = kernel.beta
-        # log(sum p_i e^{-beta lam_i}) via logsumexp; zero weights drop out.
-        total = logsumexp(-beta * lam, b=p)
+        # log(sum p_i e^{-beta lam_i}) as one log-sum-exp over the support
+        total = logsumexp(-beta * lam[p > 0] + np.log(p[p > 0]))
         return float(-total / beta)
     if kernel.kind == "linear":
         return float(np.dot(p, lam) / p.sum())

@@ -150,13 +150,21 @@ def build_levels(spec: DispersionSpec, g: float, V: float, D: float) -> LevelSet
 # finite-N energy and multiplicity
 
 
-def discrete_energy(levels: LevelSet, occupation: Sequence[int], N: int) -> float:
-    """Energy of an occupation vector: sum lam*n - (V/2N) sum n(n-1)."""
+def _occupation(levels: LevelSet, occupation: Sequence[int],
+                N: int) -> tuple[np.ndarray, int]:
+    """Gate an occupation vector of N particles over the levels."""
+    N = check_count(N, "N", 1)
     occ = as_counts(occupation)
     if occ.shape != (levels.size,):
         raise InputError("occupation length must match the level count")
     if int(occ.sum()) != N:
         raise InputError("occupations must sum to N")
+    return occ, N
+
+
+def discrete_energy(levels: LevelSet, occupation: Sequence[int], N: int) -> float:
+    """Energy of an occupation vector: sum lam*n - (V/2N) sum n(n-1)."""
+    occ, N = _occupation(levels, occupation, N)
     occ = occ.astype(float)
     lam = levels.as_array()
     return float(lam @ occ - (levels.V / (2.0 * N)) * np.sum(occ * (occ - 1.0)))
@@ -169,9 +177,7 @@ def log_multiplicity(levels: LevelSet, occupation: Sequence[int], N: int,
     Each level is a block of G sublevels; G defaults to round(g*N), the
     finite-N reading of the specific degeneracy.
     """
-    occ = as_counts(occupation)
-    if int(occ.sum()) != N:
-        raise InputError("occupations must sum to N")
+    occ, N = _occupation(levels, occupation, N)
     if G is None:
         G = max(1, int(round(levels.g * N)))
     G = check_count(G, "G", 1)
@@ -653,34 +659,35 @@ def _fold_theta(levels: LevelSet, st: BranchState) -> float | None:
     g, l = levels.g, st.l
     others = np.arange(levels.size) != l
     m, mu, theta = st.m_array(), st.mu, st.theta
-    for _ in range(50):
-        a = _alpha(levels, theta, m)
-        inv = 1.0 / a
-        s = float(np.sum(inv[others]))
-        F, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
-        margin = 1.0 + a[l] * s
-        # margin row: d margin/dm_n and d margin/dtheta, with
-        # q = d alpha/d theta and d alpha/dm = -theta q (g + 2m)/(m (g+m))
-        q = g / (m * (g + m))
-        da_dm = -theta * q * (g + 2.0 * m) / (m * (g + m))
-        row = -a[l] * da_dm * inv * inv
-        row[l] = da_dm[l] * s
-        d_theta = q[l] * s - a[l] * float(np.sum((q * inv * inv)[others]))
-        if max(float(np.max(np.abs(F))), abs(c), abs(margin)) <= 1e-12:
-            # along the seed fraction dm_n/dx = alpha_l/alpha_n, so
-            # D'' = alpha_l (row . 1/alpha)
-            ok = (np.all(m > 0) and a[l] < 0 and np.all(a[others] > 0)
-                  and a[l] * (row @ inv) > 0)
-            return float(theta) if ok else None
-        dm, dmu = _bordered_solve(inv, F, c)
-        tm, tmu, _ = _tangent(levels, m, inv)
-        den = float(d_theta + row @ tm)
-        if not (math.isfinite(den) and den != 0):
-            return None
-        dth = -(margin + float(row @ dm)) / den
-        m, mu, theta = m + (dm + dth * tm), mu + (dmu + dth * tmu), theta + dth
-        if not (np.all(m > 0) and theta > 0):
-            return None
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            a = _alpha(levels, theta, m)
+            inv = 1.0 / a
+            s = float(np.sum(inv[others]))
+            F, c = _phi(levels, theta, m) - mu, float(m.sum()) - 1.0
+            margin = 1.0 + a[l] * s
+            # margin row: d margin/dm_n and d margin/dtheta, with
+            # q = d alpha/d theta and d alpha/dm = -theta q (g + 2m)/(m (g+m))
+            q = g / (m * (g + m))
+            da_dm = -theta * q * (g + 2.0 * m) / (m * (g + m))
+            row = -a[l] * da_dm * inv * inv
+            row[l] = da_dm[l] * s
+            d_theta = q[l] * s - a[l] * float(np.sum((q * inv * inv)[others]))
+            if max(float(np.max(np.abs(F))), abs(c), abs(margin)) <= 1e-12:
+                # along the seed fraction dm_n/dx = alpha_l/alpha_n, so
+                # D'' = alpha_l (row . 1/alpha)
+                ok = (np.all(m > 0) and a[l] < 0 and np.all(a[others] > 0)
+                      and a[l] * (row @ inv) > 0)
+                return float(theta) if ok else None
+            dm, dmu = _bordered_solve(inv, F, c)
+            tm, tmu, _ = _tangent(levels, m, inv)
+            den = float(d_theta + row @ tm)
+            if not (math.isfinite(den) and den != 0):
+                return None
+            dth = -(margin + float(row @ dm)) / den
+            m, mu, theta = m + (dm + dth * tm), mu + (dmu + dth * tmu), theta + dth
+            if not (np.all((m > 0) & (m < np.inf)) and 0 < theta < np.inf):
+                return None
     return None
 
 

@@ -21,7 +21,9 @@ Conventions shared by all subcommands:
   * exit 0 on success, 2 on bad input, 3 when a solver or guard gives up.
   * output is written once the subcommand has finished: one that fails
     while computing (exit 2 or 3) writes no CSV to stdout or `--out`, and
-    an output path that cannot be written is exit 2 with stdout empty.
+    an output path that cannot be written is exit 2 with stdout empty; one
+    that is a directory or is in a missing directory leaves every output
+    file as it was.
   * outputs depend only on the scenario; reruns are byte-identical.
 """
 
@@ -164,21 +166,28 @@ def _cell(v: Any) -> str:
 def _write(tables: Sequence[tuple], summary: str) -> None:
     """Emit a finished command's (header, rows, path) tables and summary.
 
-    A CSV goes to its path, or to stdout when the path is unset; stdout is
-    written last, so an unwritable path leaves it empty.  The summary goes
-    to stderr once a CSV occupies stdout.
+    A CSV goes to its path, or to stdout when the path is unset.  Every path
+    is checked before any file is written, and stdout is written last, so a
+    path that is a directory or is in a missing directory changes no file
+    and leaves stdout empty.  The summary goes to stderr once a CSV occupies stdout.
     """
-    on_stdout = []
+    on_stdout, files = [], []
     for header, rows, path in tables:
         text = "".join(",".join(map(_cell, row)) + "\n"
                        for row in [header, *rows])
         if path:
-            try:
-                Path(path).write_text(text)
-            except OSError as e:
-                raise InputError(f"cannot write output file: {e}")
+            files.append((path, text))
         else:
             on_stdout.append(text)
+    for path, _ in files:
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise InputError(f"cannot write output file: {path!r} is a "
+                             "directory or is in a missing directory")
+    try:
+        for path, text in files:
+            Path(path).write_text(text)
+    except OSError as e:
+        raise InputError(f"cannot write output file: {e}")
     sys.stdout.write("".join(on_stdout))
     print(summary, file=sys.stderr if on_stdout else sys.stdout)
 

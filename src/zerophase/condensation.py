@@ -174,14 +174,11 @@ def empirical_threshold_model(levels: ParetoLevels) -> Callable[[float], float]:
 
     def n0_of_money(M: float) -> float:
         check_real(M, "money supply M", "positive")
+        # money at lo is 0 < M: every i^q >= 1, so each Bose factor underflows
         lo, hi = 1e-12, 1.0
         while money_at_theta(levels, hi) < M:
             hi *= 2.0
             if hi > 1e14:
-                raise InputError("money supply out of the invertible range")
-        while money_at_theta(levels, lo) > M:
-            lo *= 0.5
-            if lo < 1e-300:
                 raise InputError("money supply out of the invertible range")
         theta = brentq(lambda t: money_at_theta(levels, t) - M, lo, hi,
                        rtol=8.9e-16, maxiter=200)

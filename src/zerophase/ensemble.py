@@ -87,8 +87,8 @@ class EnsembleState:
     step: int = 0
 
     def __post_init__(self):
-        for name in ("l", "M", "step"):  # stored as the ints the gate returns
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        for name, low in (("l", 1), ("M", 1), ("step", 0)):  # as the gate's ints
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low))
         expected = len(compositions(self.M, self.l))
         if self.log_coeffs.shape != (expected,):
             raise InputError("coefficient array does not match the class layout")
@@ -210,20 +210,12 @@ def marginal(state: EnsembleState, i: int) -> float:
 
 
 def marginals(state: EnsembleState) -> np.ndarray:
-    """All level marginals; nonnegative, sum to 1."""
+    """Mean occupation per system of each level under the normalized class law."""
     occ, log_sizes = _class_layout(state.M, state.l)
     log_norm = log_state_norm(state)
     if log_norm == -np.inf:
         raise InputError("zero norm state has no marginals")
-    a = state.log_coeffs + log_sizes
-    out = np.empty(state.l)
-    for i in range(state.l):
-        weights = occ[:, i].astype(float)
-        if not np.any(weights > 0):
-            out[i] = 0.0
-            continue
-        out[i] = np.exp(logsumexp(a, b=weights) - log_norm) / state.M
-    return out
+    return occ.T @ np.exp(state.log_coeffs + log_sizes - log_norm) / state.M
 
 
 def specific_free_energy(state: EnsembleState, beta: float) -> float:

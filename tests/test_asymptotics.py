@@ -92,6 +92,8 @@ def test_kl_divergence_properties():
     assert kl_divergence(w, w) == 0.0
     rho = np.array([0.4, 0.4, 0.2])
     assert kl_divergence(w, rho) > 0.0
+    # w puts mass where rho has none
+    assert kl_divergence(w, np.array([0.5, 0.5, 0.0])) == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

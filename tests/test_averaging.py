@@ -75,19 +75,19 @@ def _check_shift_axiom(lam, p, beta, C):
     Exponential: the exponents -beta (lam_i + C) carry two roundings each,
     logsumexp is 1-Lipschitz in them and adds a few roundings of its own,
     and the division by beta one more: a few eps of max|lam| + |C| + |avg|;
-    the test allows 8.  logsumexp also forms log1p(s) + log(m), m the
-    weight on the largest exponent and s the rest relative to it.  Each log
-    is within one ulp, at most eps times its size, and is not small when
-    avg is (ln 0.34375 = -1.07 and log1p = 1.16 against avg = -0.09 in the
-    fixed case below): two sides give 2 eps (|log m| + |log1p s|) / beta.
-    With P the weight total and p_min the smallest positive weight,
-    p_min <= m <= P and 0 <= log1p s <= ln(P / p_min), so |log m| +
-    |log1p s| <= 2 (|ln p_min| + |ln P|); the test allows 4 eps of that
-    over beta.  Linear: the two dot products with the weights each err by
-    at most n roundings of max|lam| + |C|; the test allows 2 (n + 2) eps of
-    that.  A rounding that underflows may also lose one subnormal spacing,
-    which the division by beta (exponential) or by the weight total
-    (linear) scales up when they are below 1: the _TINY terms.
+    the test allows 8.  The average adds ln p_i to each exponent: half an
+    ulp of |ln p_i| a side, and another of the sum.  logsumexp also forms
+    log1p(s) + log(m), m >= 1 the number of largest exponents and s the rest
+    relative to them, so each log is at most ln(m + s) <= ln n; each is
+    within one ulp, which is not small when avg is: two sides give
+    2 eps ln(n) / beta.  With P the weight total and p_min the smallest
+    positive weight, |ln p_i| and ln n <= ln(P / p_min) are at most
+    |ln p_min| + |ln P|; the test allows 4 eps of that over beta.  Linear:
+    the two dot products with the weights each err by at most n roundings
+    of max|lam| + |C|; the test allows 2 (n + 2) eps of that.  A rounding
+    that underflows may also lose one subnormal spacing, which the division
+    by beta (exponential) or by the weight total (linear) scales up when
+    they are below 1: the _TINY terms.
     """
     scale = float(np.max(np.abs(lam))) + abs(C)
     total = float(p.sum())
@@ -118,10 +118,16 @@ def test_shift_axiom_holds_to_rounding(data, n, beta, C):
 
 
 def test_shift_axiom_holds_where_the_logs_dominate():
-    # error 1.665e-16: above 8 eps (max|lam| + |C| + |avg|) = 1.661e-16,
-    # inside the bound once the roundings of log(m) and log1p(s) count
+    # the exponents carry ln p_i (-1.07 and -0.29) while |avg| is 0.09, so
+    # the roundings of ln p_i and of the logs inside logsumexp are not small
+    # against avg
     _check_shift_axiom(np.array([-1.53011901e-105, 0.0]),
                        np.array([0.34375, 0.75]), 1.0, 2.0 ** -8)
+    # the weights sum to 1, so avg is 0: the shift errs by 5.55e-17, four
+    # times 8 eps (max|lam| + |C| + |avg|), inside the bound only once the
+    # log terms count
+    _check_shift_axiom(np.array([4.53484237e-16, -3.74287771e-16]),
+                       np.array([0.390625, 0.609375]), 1.0, 2.0 ** -7)
 
 
 def test_shift_axiom_rejects_cubic_kernel():

@@ -587,6 +587,25 @@ _FIELD = EntropyField.from_function(lambda x: -x * x, (-1.0,), (0.1,), (21,))
                  InputError, "equal length", id="kl-length"),
     pytest.param(lambda: kl_divergence([0.0, 0.0], [0.5, 0.5]),
                  InputError, "empty support", id="kl-all-zero"),
+    pytest.param(lambda: log_multiplicity(LV, (1, 1, 1), 3),
+                 InputError, "occupation length", id="multiplicity-length"),
+    pytest.param(lambda: log_multiplicity(LV, (0, 0), 0),
+                 InputError, "N must be a positive integer",
+                 id="multiplicity-N-zero"),
+    pytest.param(lambda: log_multiplicity(LV, (1, 0), True),
+                 InputError, "N must be a positive integer",
+                 id="multiplicity-N-bool"),
+    pytest.param(lambda: discrete_energy(LV, (0, 0), 0),
+                 InputError, "N must be a positive integer", id="energy-N-zero"),
+    pytest.param(lambda: discrete_energy(LV, (1, 0), True),
+                 InputError, "N must be a positive integer", id="energy-N-bool"),
+    pytest.param(lambda: EnsembleState(l=2, M=0, log_coeffs=np.zeros(1)),
+                 InputError, "M must be a positive integer", id="ensemble-M-zero"),
+    pytest.param(lambda: convergence_scan((1.0, 1.0), (0.0, 1.0), 1.0, 1, ()),
+                 InputError, "M_list must be nonempty", id="scan-no-sizes"),
+    pytest.param(lambda: limit_F((1.0, 1.0), (0.0, 1.0, 2.0), 1.0, 1),
+                 InputError, "g and spectrum must have equal length",
+                 id="limit-length"),
 ])
 def test_non_finite_and_extreme_inputs_raise_typed_errors(call, error, match,
                                                           capfd):
@@ -782,6 +801,36 @@ def test_certificate_matches_the_continuation_route(name, lv, l):
     assert cert.f_ground == want.f_ground
     assert abs(cert.f_meta - want.f_meta) <= 1e-14 * abs(want.f_meta)
     assert abs(cert.jump - want.jump) <= 1e-14 * abs(want.f_meta)
+
+
+def _law_r(draw: int) -> tuple:
+    """(levels, seed level) of draw `draw` (0-based) of the random law:
+    numpy default_rng(7) draws in turn K from U{2..32}, K sorted levels from
+    U(0, 2), g = e^U(-2, 2), V = e^U(-1, 1.5) and l from U{1..K-1}."""
+    rng = np.random.default_rng(7)
+    for _ in range(draw + 1):
+        K = int(rng.integers(2, 33))
+        lam = np.sort(rng.uniform(0.0, 2.0, K))
+        g, V = np.exp(rng.uniform(-2.0, 2.0)), np.exp(rng.uniform(-1.0, 1.5))
+        l = int(rng.integers(1, K))
+    return LevelSet.from_values(lam, float(g), float(V)), l
+
+
+# draws whose fold Newton meets a denormal tail, where 1/alpha vanishes and
+# the margin row overflows; None marks the draw whose grid underflows
+@pytest.mark.parametrize("draw,theta_c", [
+    (132, 0.03482404705248221), (303, 0.005475642189636645), (862, None),
+    (897, 0.004260558300624103), (1696, 0.02433631404578702)])
+def test_fold_newton_leaks_no_warning(draw, theta_c):
+    lv, l = _law_r(draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if theta_c is None:
+            with pytest.raises(SolverError, match="occupation underflow; "
+                                                  "temperature too low to track"):
+                zeroth_order_certificate(lv, l)
+        else:
+            assert zeroth_order_certificate(lv, l).theta_c == theta_c
 
 
 def test_certificate_solve_budget(monkeypatch):

@@ -2,8 +2,10 @@
 
 import importlib.util
 import json
+import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import warnings
@@ -488,6 +490,71 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert out == ""
     assert err.startswith("error: cannot write output file: ")
     assert "missing/" in err
+
+
+def test_failed_write_leaves_every_output_file_as_it_was(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [*_FLOW_PARABOLA, "--x0", "0.1", "--out", "s.csv",
+            "--traj-out", "missing/t.csv"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "s.csv").write_text("kept\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    assert (tmp_path / "s.csv").read_text() == "kept\n"
+    # a trajectory path that names a directory
+    (tmp_path / "adir").mkdir()
+    code, out, err = run_cli(capsys, *argv[:-1], "adir")
+    assert (code, out) == (2, "")
+    assert "'adir' is a directory" in err
+    assert (tmp_path / "s.csv").read_text() == "kept\n"
+
+
+def test_out_to_a_device_writes_through_it(capsys):
+    code, out, _ = run_cli(capsys, "evolve", "--g", "1,1", "--lambda", "0,1",
+                           "--M", "4", "--steps", "3", "--out", "/dev/null")
+    assert code == 0
+    assert out.startswith("evolve: ")
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+def test_avg_linear_kernel_is_the_weighted_mean(capsys):
+    code, out, _ = run_cli(capsys, "avg", "--lambda", "0,0.5,1.3",
+                           "--p", "0.2,0.5,0.3", "--kernel", "linear")
+    assert code == 0
+    assert out == "avg = 0.64\n"
+
+
+_SOCIAL = ["social", "--n1", "5", "--n2", "95", "--N", "100", "--gamma", "1.5"]
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["avg", "--lambda", "0,1", "--kernel", "cubic"],
+     "kernel must be exponential or linear"),
+    (["flow", "--grid=-1,1", "--h0-poly", "0,0,-1", "--t", "0.5"],
+     "--grid must be lo,hi,count"),
+    (["flow", "--grid=1,1,5", "--h0-poly", "0,0,-1", "--t", "0.5"],
+     "--grid needs hi > lo"),
+    ([*_SOCIAL, "--T-grid", "0,2,20,1"], "--T-grid must be lo,hi,count"),
+    ([*_SOCIAL, "--T-grid", "2,0,20"], "--T-grid needs hi > lo"),
+    ([*_FLOW_PARABOLA, "--mode", "mean"], "mode must be max, min, or smooth"),
+    (["evolve", "--g", "1,1", "--lambda", "0,1,2", "--M", "4", "--steps", "1"],
+     "--g and --lambda must have equal length"),
+    (["debt", "--ledger", "ledger.txt", "--sigma-avg", "2"],
+     "ledger.txt:2: unknown kind 'bond'"),
+    (["avg", "--config", "missing.cfg"], "cannot read config file"),
+], ids=["kernel", "grid-shape", "grid-order", "T-grid-shape", "T-grid-order",
+        "flow-mode", "evolve-lengths", "ledger-kind", "config-unreadable"])
+def test_bad_input_exits_2_with_its_reason(tmp_path, monkeypatch, capsys,
+                                           argv, reason):
+    (tmp_path / "ledger.txt").write_text("position, 100, 2.0\nbond, 50, 3\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
 
 
 # (argv, its file flags): each flag names one CSV, in stdout order

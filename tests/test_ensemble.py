@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from zerophase import ensemble
 from zerophase.asymptotics import convergence_scan, limit_F, limit_w
 from zerophase.averaging import AveragingKernel, financial_average
-from zerophase.ensemble import (EnsembleState, closed_form_coeff,
-                                closed_form_log_coeff, compositions,
+from zerophase.ensemble import (EnsembleState, class_project,
+                                closed_form_coeff, closed_form_log_coeff,
+                                compositions,
                                 ensemble_from_tuple, evolve_step,
                                 init_product_state, log_state_norm, marginal,
                                 marginals, oracle_evolve, oracle_marginal,
@@ -99,6 +100,50 @@ def test_marginals_sum_to_one():
     assert (w > 0).all()
 
 
+def test_marginals_match_the_weighted_logsumexp_route():
+    """The one weighted sum against the route it replaced: scipy's weighted
+    log-sum-exp per level, on seeded states up to M = 400 with zero weights
+    in g.  That route rounds ln sum_k occ_ki e^{a_k}, about max a + ln M,
+    before its exp: relative error of order eps (max|a| + ln M)."""
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        l = int(rng.integers(2, 5))
+        M = int(rng.integers(1, 61 if l == 4 else 401))
+        g = np.where(rng.random(l) < 0.3, 0.0, rng.uniform(0.1, 2.0, l))
+        g[0] = g[0] or 1.0
+        lam, beta = rng.uniform(0.0, 2.0, l), float(rng.uniform(0.1, 3.0))
+        state = init_product_state(g, M)
+        for _ in range(int(rng.integers(0, 4))):
+            state = evolve_step(state, lam, beta)
+        occ, log_sizes = ensemble._class_layout(M, l)
+        a = state.log_coeffs + log_sizes
+        log_norm = log_state_norm(state)
+        with np.errstate(all="ignore"):  # scipy's 0 * inf past e^709
+            want = np.array([np.exp(scipy_logsumexp(a, b=occ[:, i]) - log_norm)
+                             / M for i in range(l)])
+        got = marginals(state)
+        # a level without weight: 0, where scipy's route can give NaN
+        assert np.array_equal(got == 0, g == 0)
+        unit = eps * (np.max(np.abs(a[np.isfinite(a)])) + math.log(M))
+        on = g > 0
+        assert np.all(np.abs(got[on] - want[on]) <= 4 * unit * want[on])
+
+
+def test_marginals_of_a_weightless_level_are_zero_past_float_range():
+    # ln norm ~ 765: e^a overflows, so a weighted sum over the level's
+    # classes multiplies inf by the zero weights of the empty ones
+    state = init_product_state((0.62, 0.55, 0.0), 399)
+    for _ in range(3):
+        state = evolve_step(state, (0.5, 1.0, 1.5), 0.13)
+    assert log_state_norm(state) > 709
+    w = marginals(state)
+    assert w[2] == 0.0
+    np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-13)
+
+
 def test_oracle_equivalence_random_instances():
     """Class pipeline against the dense l^M oracle on 10 seeded draws."""
     rng = np.random.default_rng(42)
@@ -145,6 +190,20 @@ def test_tuple_oracle_class_basis_closed_form_agree(data, l, M, n, beta):
         np.testing.assert_allclose(state.coeff(occ),
                                    closed_form_coeff(g, lam, beta, M, n, occ),
                                    rtol=1e-11)
+
+
+def test_class_projections_partition_the_state():
+    ts = oracle_evolve(tuple_product_state((0.5, 1.5, 1.0), 3), (0.0, 1.0, 0.4),
+                       1.0)
+    total = np.zeros_like(ts.psi)
+    for k, occ in enumerate(compositions(3, 3)):
+        part = class_project(ts, occ)
+        # one class's mass, the rest zero
+        log_mass = reduce_to_classes(part).log_coeffs
+        assert np.isfinite(log_mass[k])
+        assert np.all(np.delete(log_mass, k) == -np.inf)
+        total += part.psi
+    np.testing.assert_array_equal(total, ts.psi)
 
 
 def test_reduction_round_trip():

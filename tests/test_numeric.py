@@ -5,7 +5,6 @@ routine it replaces returns, bit for bit.
 """
 
 import math
-import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,7 +27,6 @@ from zerophase.errors import InputError, SolverError
 # small values tie at the max; +-800 overflow exp in the direct sum
 _exponents = st.one_of(st.floats(-50.0, 50.0),
                        st.sampled_from([0.0, 2.5, 800.0, -800.0]))
-_weights = st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(-1.0, 3.0))
 
 
 def _same(got, want) -> bool:
@@ -38,41 +36,12 @@ def _same(got, want) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
-       axis=st.sampled_from([None, -1]), weighted=st.booleans(),
-       zero_row=st.booleans())
-def test_logsumexp_equals_scipy(data, shape, axis, weighted, zero_row):
+       axis=st.sampled_from([None, -1]))
+def test_logsumexp_equals_scipy(data, shape, axis):
     a = data.draw(hnp.arrays(float, shape, elements=_exponents))
-    b = None
-    if weighted:
-        b = data.draw(hnp.arrays(float, shape, elements=_weights))
-        if zero_row:
-            b[0] = 0.0
-    assert _same(logsumexp(a, axis=axis, b=b),
-                 scipy_logsumexp(a, axis=axis, b=b))
+    assert _same(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis))
     # the 1-d call the averaging and asymptotic paths make
-    assert _same(logsumexp(a[0], b=None if b is None else b[0]),
-                 scipy_logsumexp(a[0], b=None if b is None else b[0]))
-
-
-def test_logsumexp_overflow_with_zero_weights_is_nan_as_in_scipy():
-    # the fallback sums the original terms: 0 * inf is NaN, not -inf
-    a = np.array([[800.0, 1.0], [0.0, 1.0]])
-    b = np.array([[0.0, 0.0], [1.0, 1.0]])
-    got = logsumexp(a, axis=-1, b=b)
-    assert math.isnan(got[0])
-    assert _same(got, scipy_logsumexp(a, axis=-1, b=b))
-
-
-def test_logsumexp_denormal_weight_at_the_max_does_not_warn():
-    # m = 1e-320 makes s / m overflow to inf; log1p(inf) then gives inf
-    # where scipy's direct fallback takes over, so the value is scipy's
-    a, b = [0.0, -1.0], [1e-320, 1.0]
-    with np.errstate(over="ignore"):
-        want = scipy_logsumexp(a, b=b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = logsumexp(a, b=b)
-    assert _same(got, want)
+    assert _same(logsumexp(a[0]), scipy_logsumexp(a[0]))
 
 
 # ---------------------------------------------------------------------------
