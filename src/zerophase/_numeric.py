@@ -1,10 +1,12 @@
-"""Input gates, and numpy ports of the four SciPy routines the solvers call.
+"""Input gates, numpy ports of the four SciPy routines the solvers call, and
+the certified lower envelope of lines.
 
 The gates raise InputError for a non-finite real or a non-integer count.
 Each port performs the same float operations in the same order as the SciPy
 1.17 code it replaces, so it returns the same bits; the tests hold each one
 to its SciPy original with exact equality.  Keeping them here lets the
-package run on numpy alone.
+package run on numpy alone.  The envelope names, for each query point, the
+line an exhaustive float scan would pick, or marks the point for that scan.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import numpy as np
 
 from .errors import InputError, SolverError
 
-_RTOL = 4 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # covers any rounding in the subnormals
+_RTOL = 4 * _EPS
 
 # Largest count accepted: sums of two counts stay exact in float64, so the
 # arguments of log_factorial match those the float gammaln calls had.
@@ -260,3 +264,136 @@ def linear_sampler(axes, values: np.ndarray):
         return value.reshape(shape[:-1] + values.shape[ndim:])
 
     return sample
+
+
+# ---------------------------------------------------------------------------
+# lower envelope of lines
+
+# A vertex's cluster holds the lines whose slopes lie within this fraction
+# of the largest |slope| of its own: their slope gap bounds nothing, so
+# they are compared with it directly at each query point.  A cluster
+# larger than the cap leaves its queries to the exhaustive scan.
+_CLUSTER_RTOL = 2.0 ** -20
+_CLUSTER_MAX = 16
+
+
+def lower_envelope(slopes, intercepts) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, breaks) of the lower envelope of intercepts + slopes * q.
+
+    vertices are line indices in order of increasing q (falling slope), and
+    vertices[k + 1] takes over from vertices[k] at breaks[k], rounded from
+    the exact crossing.  Of lines of equal slope the smallest intercept,
+    then the smallest index, stays.  The hull is that of the float lines
+    taken exactly: each orientation test whose float value lies within its
+    rounding bound is redone in rationals, and three lines through one
+    point leave the middle one out.  Inputs must be finite.
+    """
+    m = np.asarray(slopes, dtype=float)
+    c = np.asarray(intercepts, dtype=float)
+    order = np.lexsort((np.arange(m.size), c, -m))
+    first = np.ones(m.size, dtype=bool)
+    first[1:] = m[order][1:] != m[order][:-1]
+    order = order[first]
+    # One vectorized pass drops each line that certainly lies above the
+    # chord of its neighbours; when every turn is certainly convex, the
+    # chain is the hull.
+    ms, cs = m[order], c[order]
+    with np.errstate(all="ignore"):
+        p1 = (cs[2:] - cs[:-2]) * (ms[:-2] - ms[1:-1])
+        p2 = (cs[1:-1] - cs[:-2]) * (ms[:-2] - ms[2:])
+        bound = 4 * _EPS * (np.abs(p1) + np.abs(p2)) + _TINY
+        if np.all(p1 - p2 > bound):
+            return _with_breaks(m, c, order)
+        order = order[np.concatenate(([True], ~(p1 - p2 < -bound), [True]))]
+    ms, cs = m[order].tolist(), c[order].tolist()
+    # Andrew's monotone chain (Comput. Geom. 1979) in the dual: b leaves
+    # when the line after it crosses a no later than b does
+    hull: list[int] = []
+    for k in range(len(ms)):
+        mk, ck = ms[k], cs[k]
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            p1 = (ck - cs[a]) * (ms[a] - ms[b])
+            p2 = (cs[b] - cs[a]) * (ms[a] - mk)
+            turn = p1 - p2
+            if not abs(turn) > 4 * _EPS * (abs(p1) + abs(p2)) + _TINY:
+                turn = _exact_turn(ms[a], cs[a], ms[b], cs[b], mk, ck)
+            if turn > 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return _with_breaks(m, c, order[hull])
+
+
+def _exact_turn(ma: float, ca: float, mb: float, cb: float, mk: float,
+                ck: float):
+    # the float turn of lower_envelope in rationals, which floats convert to
+    # exactly; the import waits for the first close call
+    from fractions import Fraction
+    fa, fb = Fraction(ma), Fraction(ca)
+    return ((Fraction(ck) - fb) * (fa - Fraction(mb))
+            - (Fraction(cb) - fb) * (fa - Fraction(mk)))
+
+
+def _with_breaks(m: np.ndarray, c: np.ndarray,
+                 vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mv, cv = m[vertices], c[vertices]
+    with np.errstate(all="ignore"):
+        breaks = (cv[1:] - cv[:-1]) / (mv[:-1] - mv[1:])
+    # each crossing is rounded from an increasing exact one; the running
+    # max keeps the order and stays within that rounding
+    return vertices, np.maximum.accumulate(breaks)
+
+
+def envelope_argmin(slopes, intercepts, q, error=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, uncertified): the lowest line at each point of the 1-d q.
+
+    At a certified q the float values intercepts + slopes * q have a strict
+    unique minimum at owner, and so do the caller's own float evaluations of
+    its lines, as long as each lies within error (a scalar or one bound per
+    q) of its line's exact value.  The certificate: q lies inside owner's
+    interval, and a line whose slope lies outside owner's cluster trails it
+    at q by at least the slope gap times the distance from q to the interval
+    end on its side; the cluster's lines are compared directly.  Both must
+    beat a margin of 16 eps (max|intercept| + |q| max|slope|) plus twice
+    error.  The uncertified q, and every q when a line is not finite, are
+    the caller's to scan exhaustively.
+    """
+    m = np.asarray(slopes, dtype=float)
+    c = np.asarray(intercepts, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+        return np.zeros(q.shape, dtype=np.intp), np.ones(q.shape, dtype=bool)
+    vertices, breaks = lower_envelope(m, c)
+    with np.errstate(all="ignore"):
+        k = np.searchsorted(breaks, q)
+        owner = vertices[k]
+        margin = np.broadcast_to(
+            16 * _EPS * (np.max(np.abs(c)) + np.abs(q) * np.max(np.abs(m)))
+            + 2 * np.asarray(error, dtype=float) + _TINY, q.shape)
+        # each vertex's cluster is the run [lo, hi) of the sorted slopes
+        by_slope = np.argsort(m, kind="stable")
+        sorted_m = m[by_slope]
+        tol = _CLUSTER_RTOL * np.max(np.abs(m))
+        mv = m[vertices]
+        lo = np.searchsorted(sorted_m, mv - tol, "left")
+        hi = np.searchsorted(sorted_m, mv + tol, "right")
+        # smaller slopes win to the right: they trail by the gap times the
+        # distance to the right end; larger slopes mirror this on the left
+        slack = 4 * _EPS * np.abs(breaks) + _TINY  # a break's rounding
+        right = np.append(breaks - slack, np.inf)[k]
+        left = np.insert(breaks + slack, 0, -np.inf)[k]
+        gap = (mv - sorted_m[np.maximum(lo - 1, 0)])[k]
+        ok = (lo == 0)[k] | (gap * (right - q) > margin)
+        gap = (sorted_m[np.minimum(hi, m.size - 1)] - mv)[k]
+        ok &= (hi == m.size)[k] | (gap * (q - left) > margin)
+        ok &= (hi - lo <= _CLUSTER_MAX)[k]
+        # the rest of a cluster, one rank at a time, where it has a rest
+        at = np.flatnonzero(ok & (hi - lo > 1)[k])
+        first, last, v, qa = lo[k[at]], hi[k[at]], owner[at], q[at]
+        for rank in range(min(int(np.max(hi - lo)), _CLUSTER_MAX)):
+            w = by_slope[np.minimum(first + rank, m.size - 1)]
+            rival = (first + rank < last) & (w != v)
+            lead = (c[w] - c[v]) + (m[w] - m[v]) * qa > margin[at]
+            ok[at] &= ~rival | lead
+    return owner, ~ok

@@ -739,10 +739,13 @@ def _grid_states(levels: LevelSet, l: int,
                  thetas: np.ndarray) -> tuple[list[BranchState], float | None]:
     """Live states on the grid up to the first dead point, and that point.
 
-    The first point is solved cold; off the ground seed each later one is
+    The walk starts at the first point whose cold solve succeeds: at the
+    coldest points the tail occupations of a live branch can underflow, so
+    leading points that fail are dropped, and BranchTerminated is raised
+    only if no point solves.  Off the ground seed each later point is
     predicted and corrected from the one before, with the hinted cold solve
     as the fallback.  The dead temperature is None if the branch lives on
-    the whole grid.
+    the rest of the grid.
     """
     states: list[BranchState] = []
     for theta in map(float, thetas):
@@ -754,7 +757,7 @@ def _grid_states(levels: LevelSet, l: int,
             st = _branch_alive(levels, theta, l, None if prev is None else prev.m[l])
         if st is None:
             if prev is None:
-                raise BranchTerminated("branch has no solution on the given grid")
+                continue
             return states, theta
         if prev is not None:
             # ties allowed: below float resolution the occupations underflow
@@ -762,6 +765,8 @@ def _grid_states(levels: LevelSet, l: int,
             if cur[l] > old[l] or np.any(np.delete(cur, l) < np.delete(old, l)):
                 raise SolverError("branch monotonicity violated during continuation")
         states.append(st)
+    if not states:
+        raise BranchTerminated("branch has no solution on the given grid")
     return states, None
 
 
@@ -828,8 +833,9 @@ def continue_branch(levels: LevelSet, l: int,
     positive margin.  If the branch dies inside the grid, the gap after the
     last live grid point is bisected to 1e-8 relative, solving every live
     midpoint cold: theta_c is the last live temperature, and the live
-    bisection states follow the grid states in increasing theta.
-    BranchTerminated if the branch is dead at the first grid point.
+    bisection states follow the grid states in increasing theta.  Leading
+    grid points where the cold solve fails are dropped, and the walk starts
+    at the first that solves; BranchTerminated if none does.
     """
     thetas = check_grid(theta_grid, "theta grid", "positive")
     l = check_count(l, "seed level l")
@@ -948,8 +954,11 @@ def branch_points_near(levels: LevelSet, l: int, theta_c: float,
     for d in deltas:
         check_real(d, "offsets below theta_c", "positive")
         check_real(theta_c - d, "theta", "positive")
+    thetas = theta_c - deltas
     states, first_bad = _grid_states(levels, check_count(l, "seed level l"),
-                                     theta_c - deltas)
+                                     thetas)
+    if states[0].theta > thetas[0]:  # the walk dropped the lowest offsets
+        first_bad = float(thetas[0])
     if first_bad is not None:
         raise BranchTerminated(f"branch terminated at theta {first_bad:.12g}")
     return tuple(states)
@@ -971,7 +980,8 @@ def zeroth_order_certificate(levels: LevelSet, l: int) -> TransitionCertificate:
     """Free-energy jump between the dying branch and the ground state.
 
     Continues the seed-l branch over 48 geometric temperatures from 1e-3 to
-    1 times theta_upper_bound by the predictor-corrector of continue_branch,
+    1 times theta_upper_bound (from the first of them at which it solves)
+    by the predictor-corrector of continue_branch,
     and bisects the gap where it dies on the same schedule, to the same
     theta_c; midpoints that the fold decides are not solved.  The free
     energy at theta_c (the last live midpoint's, or one solve) is compared

@@ -13,13 +13,16 @@ onto the slowest class.  The model behind N0 is an explicit stand-in (the
 source material leaves it unspecified), so every output of it should be
 read as model-dependent.
 
-The two-level economy at the end is exact: an exhaustive scan of
+The two-level economy at the end is exact: the minimizer over N1 = 0..N of
 
     E(N1) = [N1 + 2*N2 - gamma*N1^2/(2N) - gamma*N2^2/(2N)] -/+ T*ln(Gamma)
 
-over N1 = 0..N, with the multinomial-boson multiplicity Gamma evaluated by
-log-Gamma and the entropy sign selectable between the free-energy form
-(minus, default) and the literal printed form (plus).
+with the multinomial-boson multiplicity Gamma evaluated by log-Gamma and
+the entropy sign selectable between the free-energy form (minus, default)
+and the literal printed form (plus).  E is affine in T, so the scan reads
+each minimizer off the lower envelope of the N + 1 lines, with a certified
+exhaustive fallback: a temperature the envelope cannot certify is scanned
+over every N1, so the minimizers are those of the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import brentq, check_count, check_grid, check_real, log_factorial
+from ._numeric import (brentq, check_count, check_grid, check_real, envelope_argmin,
+                       log_factorial)
 from .errors import GuardExceeded, InputError
 
 SOCIAL_SCAN_GUARD = 5000
@@ -287,12 +291,15 @@ class ExplosionScan:
 
 def social_explosion_scan(eco: TwoLevelEconomy,
                           T_grid: Sequence[float]) -> ExplosionScan:
-    """Exhaustive minimizer trace of the two-level functional over a T grid.
+    """Minimizer trace of the two-level functional over a T grid.
 
-    For each T the functional is scanned over every split N1 = 0..N; ties go
-    to the smallest N1.  T_star is the first grid point whose minimizer
-    moved at least 0.9*N in one step from its predecessor; the kinetic
-    outburst is the energy-part change across that jump.
+    Each T's minimizer over the splits N1 = 0..N, ties to the smallest N1,
+    is the one the exhaustive scan of the functional finds: E is affine in
+    T, so the lower envelope of its lines names it, with a certified
+    exhaustive fallback at the T the envelope cannot certify (near a
+    breakpoint).  T_star is the first grid point whose minimizer moved at
+    least 0.9*N in one step from its predecessor; the kinetic outburst is
+    the energy-part change across that jump.
     """
     if eco.N > SOCIAL_SCAN_GUARD:
         raise GuardExceeded(f"exhaustive scan guarded at N <= {SOCIAL_SCAN_GUARD}")
@@ -301,20 +308,20 @@ def social_explosion_scan(eco: TwoLevelEconomy,
     s = _log_multiplicity(eco)
     sign = -1.0 if eco.sign_convention == "minus" else 1.0
 
-    mins = [int(np.argmin(e + sign * T * s)) for T in Ts]
-    T_star = None
-    jump_size = 0
-    outburst = None
-    for j in range(1, len(mins)):
-        step = abs(mins[j] - mins[j - 1])
-        if step > jump_size:
-            jump_size = step
-        if T_star is None and step >= 0.9 * eco.N:
-            T_star = float(Ts[j])
-            outburst = float(e[mins[j]] - e[mins[j - 1]])
-    return ExplosionScan(T=tuple(float(T) for T in Ts),
-                         argmin_N1=tuple(mins),
-                         E_parts=tuple(float(e[i]) for i in mins),
+    # e + (sign*T)*s rounds as the line e + (sign*s)*T: sign is +-1
+    mins, uncertified = envelope_argmin(sign * s, e, Ts)
+    for j in np.flatnonzero(uncertified):
+        mins[j] = np.argmin(e + sign * Ts[j] * s)
+    steps = np.abs(np.diff(mins))
+    jumps = np.flatnonzero(steps >= 0.9 * eco.N)
+    T_star = outburst = None
+    if jumps.size:
+        j = jumps[0] + 1
+        T_star = float(Ts[j])
+        outburst = float(e[mins[j]] - e[mins[j - 1]])
+    return ExplosionScan(T=tuple(Ts.tolist()),
+                         argmin_N1=tuple(mins.tolist()),
+                         E_parts=tuple(e[mins].tolist()),
                          T_star=T_star,
-                         jump_size=int(jump_size),
+                         jump_size=int(steps.max(initial=0)),
                          kinetic_outburst=outburst)

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numeric import check_count, check_real, linear_sampler, logsumexp
+from ._numeric import (_EPS, check_count, check_real, envelope_argmin,
+                       linear_sampler, logsumexp)
 from .errors import InputError
 
 _BOUNDARIES = ("clamped", "periodic")
@@ -26,7 +27,11 @@ _MODES = ("min", "max")
 
 @dataclass(frozen=True)
 class EntropyField:
-    """Scalar field sampled on a uniform rectangular grid (1-d or 2-d)."""
+    """Scalar field sampled on a uniform rectangular grid (1-d or 2-d).
+
+    The node coordinates origin + spacing * k of each axis must be finite
+    and strictly increasing in float.
+    """
 
     origin: tuple
     spacing: tuple
@@ -44,9 +49,16 @@ class EntropyField:
         spacing = tuple(float(v) for v in np.atleast_1d(self.spacing))
         if len(origin) != H.ndim or len(spacing) != H.ndim:
             raise InputError("origin/spacing must match the field dimension")
-        for o, s in zip(origin, spacing):
+        for o, s, n in zip(origin, spacing, H.shape):
             check_real(o, "origin")
             check_real(s, "spacing", "positive")
+            # in float the nodes o + s k can still overflow or collapse
+            # (origin 1e17, spacing 1), and every distance would be wrong;
+            # they do not decrease, so a finite last node bounds them all
+            if not (math.isfinite(o + s * (n - 1))
+                    and np.all(np.diff(o + s * np.arange(n)) > 0)):
+                raise InputError("node coordinates of each axis must be "
+                                 "finite and strictly increasing")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "H", H)
@@ -176,35 +188,90 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
 
 
 # ---------------------------------------------------------------------------
-# Hopf-Lax evolution by exact per-axis node scans
+# Hopf-Lax evolution, one grid axis at a time
 #
 # The kernel (x-xi)^2/(2t) is a sum of per-axis terms, so every transform
-# below is a sequence of exhaustive 1-d scans, one per grid axis; over the
-# whole grid this is exact (Felzenszwalb & Huttenlocher, "Distance
-# Transforms of Sampled Functions", Theory of Computing 8, 2012).
+# below is a sequence of 1-d transforms, one per grid axis; over the whole
+# grid this is exact (Felzenszwalb & Huttenlocher, "Distance Transforms of
+# Sampled Functions", Theory of Computing 8, 2012).  The smoothing and the
+# heat residual scan every node pair of an axis.  The max and min envelopes
+# are lower envelopes of lines in x,
+#
+#     V_j -/+ (x - x_j)^2/(2t) = -/+ (x^2/(2t) + [x_j^2/(2t) -/+ V_j] - (x_j/t) x),
+#
+# so an axis of at least _ENVELOPE_MIN_NODES nodes takes them from the
+# envelope with a certified exhaustive fallback: the envelope names each
+# node's winner, which is re-evaluated with the scan's own expression, and
+# the nodes it cannot certify are scanned.  Shorter axes are scanned whole.
+
+# A row of n nodes costs the scan O(n^2) and the envelope O(n log n), with
+# a larger constant: on one row the two cross near 200 nodes for a smooth
+# field and near 384 for a rough one (BENCH_envelope.json).
+_ENVELOPE_MIN_NODES = 256
 
 
 def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, terms: Callable,
-               reduce: Callable) -> np.ndarray:
+               reduce: Callable, xi: np.ndarray | None = None) -> np.ndarray:
     """Reduce terms(V_j, x_i, x_j) over the nodes x_j of one grid axis.
 
     axis counts from the end, so V and the reduction may carry leading
-    stacked components.  terms gets V with the scanned axis last and a new
-    output-node axis before it, a chunk of output nodes x_i as a column and
-    all nodes x_j as a row; reduce collapses the last axis.  Chunks keep
-    each block of terms near 1e6 elements (8 MB); every output row is
-    reduced on its own, so the result does not depend on the chunking, and
-    small blocks bound the peak memory of reductions that hold several
-    block-sized copies (logsumexp does).  terms should build (x_i - x_j)^2
-    inside one expression, so numpy reuses that temporary in place and no
-    extra chunk-sized array is alive while reduce runs.
+    stacked components.  The output nodes x_i are xi, all of x by default.
+    terms gets V with the scanned axis last and a new output-node axis
+    before it, a chunk of output nodes x_i as a column and all nodes x_j as
+    a row; reduce collapses the last axis.  Chunks keep each block of terms
+    near 1e6 elements (8 MB); every output row is reduced on its own, so the
+    result does not depend on the chunking, and small blocks bound the peak
+    memory of reductions that hold several block-sized copies (logsumexp
+    does).  terms should build (x_i - x_j)^2 inside one expression, so
+    numpy reuses that temporary in place and no extra chunk-sized array is
+    alive while reduce runs.
     """
+    xi = x if xi is None else xi
     Vm = np.moveaxis(V, axis, -1)[..., None, :]
-    n = x.size
-    rows = max(1, min(n, int(1e6) // Vm.size))
+    rows = max(1, min(xi.size, int(1e6) // Vm.size))
     out = np.concatenate(
-        [reduce(terms(Vm, x[s:s + rows, None], x[None, :]))
-         for s in range(0, n, rows)], axis=-1)
+        [reduce(terms(Vm, xi[s:s + rows, None], x[None, :]))
+         for s in range(0, xi.size, rows)], axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def _hopf_terms(t: float, mode: str) -> tuple[Callable, Callable]:
+    """(terms, reduce) of _axis_scan for the mode's envelope."""
+    if mode == "max":
+        return (lambda v, xi, xj: v - (xi - xj) ** 2 / (2.0 * t),
+                lambda a: np.max(a, axis=-1))
+    return (lambda v, xi, xj: v + (xi - xj) ** 2 / (2.0 * t),
+            lambda a: np.min(a, axis=-1))
+
+
+def _axis_envelope(V: np.ndarray, x: np.ndarray, axis: int, t: float,
+                   mode: str) -> np.ndarray:
+    """The mode's _axis_scan of V along one axis, row by row.
+
+    Each row's winner comes from the lower envelope of its lines, and the
+    scan's own terms re-evaluate it; the nodes the envelope does not
+    certify go through _axis_scan.  The margin must cover the rounding of
+    the lines and of the terms: 8 eps of max|V| + (max x^2 + span^2)/(2t)
+    + |x| max|x|/t bounds both.
+    """
+    terms, reduce = _hopf_terms(t, mode)
+    rows = np.moveaxis(V, axis, -1)
+    out = np.empty_like(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_sq = x * x / (2.0 * t)
+        slopes = -x / t
+        reach = max(abs(x[0]), abs(x[-1]))
+        rounding = 8 * _EPS * ((reach * reach + (x[-1] - x[0]) ** 2) / (2.0 * t)
+                               + np.abs(x) * reach / t)
+    for idx in np.ndindex(rows.shape[:-1]):
+        row = rows[idx]
+        owner, uncertified = envelope_argmin(
+            slopes, half_sq - row if mode == "max" else half_sq + row, x,
+            rounding + 8 * _EPS * np.max(np.abs(row)))
+        out[idx] = terms(row[owner], x, x[owner])
+        if uncertified.any():
+            out[idx][uncertified] = _axis_scan(row, x, -1, terms, reduce,
+                                               x[uncertified])
     return np.moveaxis(out, -1, axis)
 
 
@@ -214,19 +281,19 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     mode "max" is the ascent form max_xi [H0(xi) - (x-xi)^2/(2t)], which can
     only raise the field (take xi = x); mode "min" is the literal
     inf-convolution min_xi [(x-xi)^2/(2t) + H0(xi)], which can only lower
-    it.  Both scan every grid node exactly, one axis at a time.
+    it.  One axis at a time: an axis of at least _ENVELOPE_MIN_NODES nodes
+    by the lower envelope with a certified exhaustive fallback, a shorter
+    one by a scan of every node pair.  Both give the scan's float values.
     """
     check_real(t, "t", "positive")
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
-    if mode == "max":
-        terms, reduce = lambda v, xi, xj: v - (xi - xj) ** 2 / (2.0 * t), np.max
-    else:
-        terms, reduce = lambda v, xi, xj: v + (xi - xj) ** 2 / (2.0 * t), np.min
+    terms, reduce = _hopf_terms(t, mode)
     H = field0.H
     for d, x in enumerate(field0.axes()):
-        H = _axis_scan(H, x, d - field0.ndim, terms,
-                       lambda a: reduce(a, axis=-1))
+        axis = d - field0.ndim
+        H = (_axis_scan(H, x, axis, terms, reduce) if x.size < _ENVELOPE_MIN_NODES
+             else _axis_envelope(H, x, axis, t, mode))
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 

@@ -649,21 +649,28 @@ def test_low_root_underflow_raises_solver_error(lam, g, V, l):
     theta = 1e-3 * theta_upper_bound(lv)
     with pytest.raises(SolverError):
         solve_branch(lv, theta, l)
-    with pytest.raises(BranchTerminated):
-        continue_branch(lv, l, np.geomspace(theta, 1000 * theta, 42))
+    # the continuation drops exactly the leading points that do not solve
+    grid = np.geomspace(theta, 1000 * theta, 42)
+    first = grid.tolist().index(continue_branch(lv, l, grid).states[0].theta)
+    assert first > 0
+    for cold in grid[:first]:
+        with pytest.raises(SolverError):
+            solve_branch(lv, float(cold), l)
 
 
 def test_denormal_occupation_overflows_alpha_silently():
     # at the first grid point a low root is denormal, so alpha = -V +
-    # theta g/(m (g+m)) overflows to +inf, its limit; the branch is dead
-    # there, and no overflow warning may escape on the way
+    # theta g/(m (g+m)) overflows to +inf, its limit; the state is unstable
+    # there, and no overflow warning may escape on the way.  The walk starts
+    # at the first grid point that solves, and the certificate holds.
     lv = LevelSet.from_values(
         (0.09958292371652822, 0.38449306451449705, 0.4202880606357171,
          0.4784893731503794), 2.350308821157822, 1.9577011050974304)
-    with pytest.raises(BranchTerminated):
-        zeroth_order_certificate(lv, 2)
-    with pytest.raises(BranchTerminated):
-        continue_branch(lv, 2, _certificate_grid(lv))
+    grid = _certificate_grid(lv)
+    assert bose_gas._branch_alive(lv, float(grid[0]), 2, None) is None
+    assert continue_branch(lv, 2, grid).states[0].theta > grid[0]
+    cert = zeroth_order_certificate(lv, 2)
+    assert cert.jump > 0 and 0 < cert.theta_c < theta_upper_bound(lv)
 
 
 def test_scan_oracle_locates_both_minima():
@@ -831,6 +838,24 @@ def test_fold_newton_leaks_no_warning(draw, theta_c):
                 zeroth_order_certificate(lv, l)
         else:
             assert zeroth_order_certificate(lv, l).theta_c == theta_c
+
+
+# a seeded sample (default_rng(22)) of the 144 draws among the first 400
+# whose certificate raised "branch has no solution on the given grid" when
+# the walk required the first grid point to solve, and the three of them
+# that still raise it
+@pytest.mark.parametrize("draw", [10, 39, 71, 95, 118, 144, 195, 264, 269, 307,
+                                  367, 397, 112, 168, 200])
+def test_certificate_walks_from_the_first_solvable_point(draw):
+    lv, l = _law_r(draw)
+    try:
+        cert = zeroth_order_certificate(lv, l)
+    except BranchTerminated as err:
+        assert str(err) == "branch has no solution on the given grid"
+        assert all(bose_gas._branch_alive(lv, float(theta), l, None) is None
+                   for theta in _certificate_grid(lv))
+    else:
+        assert cert.jump > 0 and 0 < cert.theta_c < theta_upper_bound(lv)
 
 
 def test_certificate_solve_budget(monkeypatch):

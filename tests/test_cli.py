@@ -91,6 +91,18 @@ def test_bose_sweep_summary(tmp_path, capsys):
     assert header == "theta,m_0,m_1,mu,f,s,margin"
 
 
+@pytest.mark.parametrize("levels, theta_c", [("0,0.1", "0.955126142328"),
+                                            ("0,0.03", "1.07020472091")])
+def test_bose_sweep_starts_where_the_cold_grid_solves(capsys, levels, theta_c):
+    # at the coldest grid points the branch's tail occupations underflow, so
+    # the walk starts at the first point that solves
+    code, out, err = run_cli(capsys, "bose", "sweep", "--levels", levels,
+                             "--V", "2", "--g", "3")
+    assert code == 0 and out.startswith("theta,m_0,m_1,")
+    # the CSV on stdout pushes the summary to stderr
+    assert err.startswith(f"bose sweep: theta_c = {theta_c}, ")
+
+
 def test_flow_closed_form_boundary(tmp_path, capsys):
     snap = tmp_path / "snap.csv"
     code, out, _ = run_cli(capsys, "flow", "--grid=-1,1,101",
@@ -546,8 +558,13 @@ _SOCIAL = ["social", "--n1", "5", "--n2", "95", "--N", "100", "--gamma", "1.5"]
     (["debt", "--ledger", "ledger.txt", "--sigma-avg", "2"],
      "ledger.txt:2: unknown kind 'bond'"),
     (["avg", "--config", "missing.cfg"], "cannot read config file"),
+    # spacing 0.16 is below the float resolution at 1e17: the nodes collapse
+    (["flow", "--grid=1e17,1.0000000000000002e17,101", "--h0-poly", "0,0,-1",
+      "--t", "0.5"], "node coordinates of each axis must be finite and "
+                     "strictly increasing"),
 ], ids=["kernel", "grid-shape", "grid-order", "T-grid-shape", "T-grid-order",
-        "flow-mode", "evolve-lengths", "ledger-kind", "config-unreadable"])
+        "flow-mode", "evolve-lengths", "ledger-kind", "config-unreadable",
+        "flow-collapsed-grid"])
 def test_bad_input_exits_2_with_its_reason(tmp_path, monkeypatch, capsys,
                                            argv, reason):
     (tmp_path / "ledger.txt").write_text("position, 100, 2.0\nbond, 50, 3\n")

@@ -6,9 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zerophase.condensation import (DebtLedger, DebtPosition, LongTermDebt,
-                                    ParetoLevels, TwoLevelEconomy,
+from zerophase import condensation
+from zerophase._numeric import envelope_argmin, lower_envelope
+from zerophase.condensation import (DebtLedger, DebtPosition, ExplosionScan,
+                                    LongTermDebt, ParetoLevels, TwoLevelEconomy,
                                     condensate_excess, critical_number,
                                     debt_supply, empirical_threshold_model,
                                     long_term_gdp_contribution, money_at_theta,
@@ -190,3 +194,75 @@ def test_scan_identical_across_processes():
                              capture_output=True, text=True, check=True)
         outputs.append(out.stdout)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the envelope scan against the exhaustive scan it replaced
+
+
+def _exhaustive_scan(eco: TwoLevelEconomy, T_grid: np.ndarray) -> ExplosionScan:
+    """Every split at every temperature, ties to the smallest N1."""
+    e = condensation._energy_part(eco)
+    s = condensation._log_multiplicity(eco)
+    sign = -1.0 if eco.sign_convention == "minus" else 1.0
+    mins = [int(np.argmin(e + sign * T * s)) for T in T_grid]
+    T_star = None
+    jump_size = 0
+    outburst = None
+    for j in range(1, len(mins)):
+        step = abs(mins[j] - mins[j - 1])
+        if step > jump_size:
+            jump_size = step
+        if T_star is None and step >= 0.9 * eco.N:
+            T_star = float(T_grid[j])
+            outburst = float(e[mins[j]] - e[mins[j - 1]])
+    return ExplosionScan(T=tuple(float(T) for T in T_grid),
+                         argmin_N1=tuple(mins),
+                         E_parts=tuple(float(e[i]) for i in mins),
+                         T_star=T_star,
+                         jump_size=int(jump_size),
+                         kinetic_outburst=outburst)
+
+
+def _breakpoint_grid(eco: TwoLevelEconomy, T_max: float, count: int) -> np.ndarray:
+    # T = 0, a uniform grid, and every breakpoint of the envelope in range:
+    # there two lines tie in exact arithmetic, and the scan falls back
+    sign = -1.0 if eco.sign_convention == "minus" else 1.0
+    _, breaks = lower_envelope(sign * condensation._log_multiplicity(eco),
+                               condensation._energy_part(eco))
+    T = np.concatenate(([0.0], np.linspace(0.0, T_max, count),
+                        breaks[(breaks >= 0) & (breaks <= T_max)]))
+    return np.unique(T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 300), n2=st.integers(1, 300), N=st.integers(1, 300),
+       gamma=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       sign=st.sampled_from(("minus", "plus")), T_max=st.floats(0.01, 20.0),
+       count=st.integers(1, 400))
+def test_envelope_scan_equals_exhaustive_scan(n1, n2, N, gamma, sign, T_max, count):
+    eco = TwoLevelEconomy(n1=n1, n2=n2, N=N, gamma_int=gamma,
+                          sign_convention=sign)
+    T = _breakpoint_grid(eco, T_max, count)
+    assert social_explosion_scan(eco, T) == _exhaustive_scan(eco, T)
+
+
+@pytest.mark.parametrize("n1,n2,N,gamma", [
+    (5, 95, 100, 1.5), (50, 50, 100, 1.5), (5, 95, 5000, 1.5),
+    (300, 4700, 5000, 1.2), (40, 60, 5000, 1.8)])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_envelope_certifies_the_scan_grids(n1, n2, N, gamma, sign):
+    """On uniform grids the envelope certifies every temperature, also on
+    the symmetric economy, where s(N1) and s(N - N1) differ in the last
+    bits: their near-equal slopes are compared directly, not bounded by
+    their gap; at the breakpoints themselves it certifies none."""
+    eco = TwoLevelEconomy(n1=n1, n2=n2, N=N, gamma_int=gamma,
+                          sign_convention=sign)
+    slopes = (-1.0 if sign == "minus" else 1.0) * condensation._log_multiplicity(eco)
+    e = condensation._energy_part(eco)
+    T = np.linspace(0.0, 10.0, 2000)
+    owner, uncertified = envelope_argmin(slopes, e, T)
+    assert not uncertified.any()
+    assert social_explosion_scan(eco, T) == _exhaustive_scan(eco, T)
+    _, breaks = lower_envelope(slopes, e)
+    assert envelope_argmin(slopes, e, breaks)[1].all()

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import logsumexp
 
-from zerophase.entropy_flow import (EntropyField, FlowConfig,
-                                    _gradient_arrays, ascent_trajectory,
-                                    calibrate_c, heat_semigroup_residual,
-                                    hopf_lax, log_gaussian_smoothing,
-                                    price_transport)
+from zerophase import entropy_flow
+from zerophase.entropy_flow import (_ENVELOPE_MIN_NODES, EntropyField, FlowConfig,
+                                    _axis_envelope, _gradient_arrays,
+                                    ascent_trajectory, calibrate_c,
+                                    heat_semigroup_residual, hopf_lax,
+                                    log_gaussian_smoothing, price_transport)
 from zerophase.errors import InputError
 
 
@@ -30,6 +31,11 @@ def test_field_validation():
         EntropyField((0.0,), (-0.1,), np.zeros(5))
     with pytest.raises(InputError):
         EntropyField((0.0,), (0.1,), np.array([0.0, np.nan, 1.0]))
+    # node coordinates that collapse or overflow in float
+    with pytest.raises(InputError, match="node coordinates of each axis"):
+        EntropyField((1e17,), (1.0,), np.zeros(5))
+    with pytest.raises(InputError, match="node coordinates of each axis"):
+        EntropyField((0.0, 1e308), (1.0, 1e307), np.zeros((3, 50)))
 
 
 def test_max_envelope_closed_form_parabola():
@@ -279,6 +285,81 @@ def test_per_axis_scans_match_pairwise_oracle_2d(data, shape, t):
                                    err_msg=key)
     np.testing.assert_allclose(got["heat"], want["heat"], rtol=1e-9,
                                atol=want["heat_noise"])
+
+
+# the envelope path: long axes, and the per-axis primitive at any size
+
+
+def _tied_field(kind: str, n: int, data) -> np.ndarray:
+    # fields whose terms tie exactly: on the dyadic grids drawn with them,
+    # nodes symmetric about a node are at exactly equal distances
+    if kind == "constant":
+        return np.full(n, data.draw(_values))
+    if kind == "integer":
+        return data.draw(hnp.arrays(float, n, elements=st.integers(-3, 3)))
+    if kind == "symmetric":
+        half = data.draw(hnp.arrays(float, n // 2 + 1, elements=_values))
+        return np.concatenate((half[::-1], half[1:]))[:n]
+    return data.draw(hnp.arrays(float, n, elements=_values))
+
+
+_kinds = st.sampled_from(["random", "constant", "integer", "symmetric"])
+_dyadic = st.sampled_from([2.0 ** -k for k in range(1, 8)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), t=_times, kind=_kinds,
+       n=st.one_of(st.integers(3, 60),
+                   st.integers(_ENVELOPE_MIN_NODES, _ENVELOPE_MIN_NODES + 300)))
+def test_envelope_path_equals_pairwise_oracle_1d(data, n, t, kind):
+    # hopf_lax takes the envelope from _ENVELOPE_MIN_NODES nodes up; the
+    # per-axis envelope is called directly below that too
+    H = _tied_field(kind, n, data)
+    spacing = data.draw(st.one_of(_spacings, _dyadic))
+    origin = data.draw(st.one_of(_origins, st.just(-(n // 2) * spacing)))
+    field0 = EntropyField((origin,), (spacing,), H)
+    want = _oracle(field0, t)
+    for mode in ("max", "min"):
+        assert np.array_equal(hopf_lax(field0, t, mode).H, want[mode]), mode
+        got = _axis_envelope(H, field0.axes()[0], -1, t, mode)
+        assert np.array_equal(got, want[mode]), mode
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(3, 25), st.integers(3, 25)),
+       t=_times)
+def test_axis_envelope_rows_equal_the_axis_scans_2d(data, shape, t):
+    # every row of a 2-d axis goes through the envelope on its own; below
+    # the crossover hopf_lax scans both axes, which the rows must reproduce
+    H = data.draw(hnp.arrays(float, shape, elements=_values))
+    field0 = EntropyField((data.draw(_origins), data.draw(_origins)),
+                          (data.draw(_spacings), data.draw(_spacings)), H)
+    x0, x1 = field0.axes()
+    for mode in ("max", "min"):
+        got = _axis_envelope(_axis_envelope(H, x0, -2, t, mode), x1, -1, t, mode)
+        assert np.array_equal(got, hopf_lax(field0, t, mode).H), mode
+
+
+def test_far_origin_leaves_every_node_to_the_scan(monkeypatch):
+    """At |x| ~ 1e6 and t = 0.1 the lines' intercepts x^2/(2t) are ~5e12,
+    so the rounding margin is ~0.5, while a neighbouring node's line trails
+    by at most (h/t) h = 1e-5 at a node: no node can be certified, and each
+    must come from the exhaustive scan, equal to the oracle."""
+    scanned = []
+    scan = entropy_flow._axis_scan
+
+    def recorded(V, x, axis, terms, reduce, xi=None):
+        scanned.append(x.size if xi is None else xi.size)
+        return scan(V, x, axis, terms, reduce, xi)
+
+    monkeypatch.setattr(entropy_flow, "_axis_scan", recorded)
+    n = _ENVELOPE_MIN_NODES + 44
+    H = np.random.default_rng(3).uniform(-5.0, 5.0, n)
+    field0 = EntropyField((1e6,), (1e-3,), H)
+    want = _oracle(field0, 0.1)
+    for mode in ("max", "min"):
+        assert np.array_equal(hopf_lax(field0, 0.1, mode).H, want[mode])
+    assert scanned == [n, n]
 
 
 _EPS = np.finfo(float).eps

@@ -1,10 +1,13 @@
-"""The numpy ports of brentq, logsumexp, the linear interpolant and gammaln.
+"""The numpy ports of brentq, logsumexp, the linear interpolant and gammaln,
+the lower envelope of lines, and the input gates.
 
 scipy stays the oracle: every port must return exactly what the scipy
-routine it replaces returns, bit for bit.
+routine it replaces returns, bit for bit.  The envelope's oracles are the
+exhaustive float argmin and exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -18,7 +21,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from zerophase import bose_gas, condensation, ensemble
 from zerophase._numeric import (MAX_COUNT, brentq, check_count, check_real,
-                                linear_sampler, log_factorial, logsumexp)
+                                envelope_argmin, linear_sampler, log_factorial,
+                                logsumexp, lower_envelope)
 from zerophase.errors import InputError, SolverError
 
 # ---------------------------------------------------------------------------
@@ -250,6 +254,78 @@ def test_bose_log_multiplicity_equals_gammaln(occ, G):
     G_ = max(1, int(round(levels.g * N))) if G is None else G
     want = float(np.sum(gammaln(G_ + x) - gammaln(G_) - gammaln(x + 1.0)))
     assert bose_gas.log_multiplicity(levels, occ, N, G) == want
+
+
+# ---------------------------------------------------------------------------
+# lower envelope of lines
+
+# small integers tie exactly and often: equal slopes, identical lines and
+# three lines through one point
+_small_lines = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    hnp.arrays(float, n, elements=st.integers(-4, 4)),
+    hnp.arrays(float, n, elements=st.integers(-6, 6))))
+
+
+def _exact_argmin(slopes, intercepts, q) -> int:
+    # the smallest index among the exact minimizers at q
+    values = [Fraction(c) + Fraction(m) * Fraction(q)
+              for m, c in zip(slopes.tolist(), intercepts.tolist())]
+    return values.index(min(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_small_lines)
+def test_lower_envelope_is_the_exact_hull(lines):
+    slopes, intercepts = lines
+    vertices, breaks = lower_envelope(slopes, intercepts)
+    assert np.all(np.diff(slopes[vertices]) < 0) and np.all(np.diff(breaks) > 0)
+    # inside each interval, and beyond both ends, its vertex is the exact
+    # minimizer, and off the breakpoints every exact minimizer is a vertex
+    ends = np.concatenate(([breaks[0] - 1.0] if breaks.size else [0.0],
+                           breaks, [breaks[-1] + 1.0] if breaks.size else []))
+    inside = (ends[:-1] + ends[1:]) / 2 if breaks.size else ends
+    for v, q in zip(vertices.tolist(), inside.tolist()):
+        assert _exact_argmin(slopes, intercepts, q) == v
+    # at q = p/17, off every breakpoint (their denominators are at most 8),
+    # in integers: 17 (c + m q) = 17 c + m p
+    p = np.arange(-680, 680, 17) + 5
+    values = 17 * intercepts.astype(int) + np.outer(p, slopes.astype(int))
+    assert np.isin(np.argmin(values, axis=1), vertices).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_small_lines, grid=hnp.arrays(float, 50, elements=st.floats(-20, 20)))
+def test_envelope_argmin_certifies_only_the_exhaustive_argmin(lines, grid):
+    slopes, intercepts = lines
+    _, breaks = lower_envelope(slopes, intercepts)
+    q = np.concatenate((grid, breaks))
+    owner, uncertified = envelope_argmin(slopes, intercepts, q)
+    for j in np.flatnonzero(~uncertified):
+        values = intercepts + slopes * q[j]
+        assert np.argmin(values) == owner[j]
+        assert np.sum(values == values.min()) == 1  # strict and unique
+    assert uncertified[grid.size:].all()  # two lines tie at every breakpoint
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]))
+def test_envelope_argmin_certifies_random_lines(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    slopes, intercepts = scale * rng.standard_normal((2, n))
+    q = np.linspace(-5.0, 5.0, 301)
+    owner, uncertified = envelope_argmin(slopes, intercepts, q)
+    want = np.argmin(intercepts + slopes * q[:, None], axis=1)
+    assert np.array_equal(owner[~uncertified], want[~uncertified])
+    # away from the breakpoints the certificate holds
+    _, breaks = lower_envelope(slopes, intercepts)
+    near = np.abs(q[:, None] - breaks).min(axis=1, initial=np.inf) < 1e-9 * (1 + np.abs(q))
+    assert not np.any(uncertified & ~near)
+
+
+def test_envelope_argmin_leaves_non_finite_lines_to_the_scan():
+    owner, uncertified = envelope_argmin([1.0, np.inf], [0.0, 1.0], [0.0, 1.0])
+    assert uncertified.all()
 
 
 # ---------------------------------------------------------------------------
