@@ -294,17 +294,6 @@ def lower_envelope(slopes, intercepts) -> tuple[np.ndarray, np.ndarray]:
     first = np.ones(m.size, dtype=bool)
     first[1:] = m[order][1:] != m[order][:-1]
     order = order[first]
-    # One vectorized pass drops each line that certainly lies above the
-    # chord of its neighbours; when every turn is certainly convex, the
-    # chain is the hull.
-    ms, cs = m[order], c[order]
-    with np.errstate(all="ignore"):
-        p1 = (cs[2:] - cs[:-2]) * (ms[:-2] - ms[1:-1])
-        p2 = (cs[1:-1] - cs[:-2]) * (ms[:-2] - ms[2:])
-        bound = 4 * _EPS * (np.abs(p1) + np.abs(p2)) + _TINY
-        if np.all(p1 - p2 > bound):
-            return _with_breaks(m, c, order)
-        order = order[np.concatenate(([True], ~(p1 - p2 < -bound), [True]))]
     ms, cs = m[order].tolist(), c[order].tolist()
     # Andrew's monotone chain (Comput. Geom. 1979) in the dual: b leaves
     # when the line after it crosses a no later than b does

@@ -49,19 +49,19 @@ class EntropyField:
         spacing = tuple(float(v) for v in np.atleast_1d(self.spacing))
         if len(origin) != H.ndim or len(spacing) != H.ndim:
             raise InputError("origin/spacing must match the field dimension")
-        for o, s, n in zip(origin, spacing, H.shape):
+        for o, s in zip(origin, spacing):
             check_real(o, "origin")
             check_real(s, "spacing", "positive")
-            # in float the nodes o + s k can still overflow or collapse
-            # (origin 1e17, spacing 1), and every distance would be wrong;
-            # they do not decrease, so a finite last node bounds them all
-            if not (math.isfinite(o + s * (n - 1))
-                    and np.all(np.diff(o + s * np.arange(n)) > 0)):
-                raise InputError("node coordinates of each axis must be "
-                                 "finite and strictly increasing")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "H", H)
+        # in float the nodes can still overflow or collapse (origin 1e17,
+        # spacing 1), and every distance would be wrong
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in self.axes():
+                if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+                    raise InputError("node coordinates of each axis must be "
+                                     "finite and strictly increasing")
 
     @property
     def ndim(self) -> int:
@@ -199,15 +199,18 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
 #
 #     V_j -/+ (x - x_j)^2/(2t) = -/+ (x^2/(2t) + [x_j^2/(2t) -/+ V_j] - (x_j/t) x),
 #
-# so an axis of at least _ENVELOPE_MIN_NODES nodes takes them from the
+# so a 1-d field of at least _ENVELOPE_MIN_NODES nodes takes them from the
 # envelope with a certified exhaustive fallback: the envelope names each
 # node's winner, which is re-evaluated with the scan's own expression, and
-# the nodes it cannot certify are scanned.  Shorter axes are scanned whole.
+# the nodes it cannot certify are scanned.  Shorter fields and 2-d fields,
+# whose scan batches every row in one pass, are scanned whole.
 
 # A row of n nodes costs the scan O(n^2) and the envelope O(n log n), with
-# a larger constant: on one row the two cross near 200 nodes for a smooth
-# field and near 384 for a rough one (BENCH_envelope.json).
-_ENVELOPE_MIN_NODES = 256
+# a larger constant: on one row the envelope wins from about 224 nodes for
+# a smooth field and from about 448 for a rough one (BENCH_envelope.json),
+# and the rule starts at the first measured size past both crossings, so
+# no measured row gets slower.
+_ENVELOPE_MIN_NODES = 512
 
 
 def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, terms: Callable,
@@ -244,35 +247,28 @@ def _hopf_terms(t: float, mode: str) -> tuple[Callable, Callable]:
             lambda a: np.min(a, axis=-1))
 
 
-def _axis_envelope(V: np.ndarray, x: np.ndarray, axis: int, t: float,
+def _axis_envelope(V: np.ndarray, x: np.ndarray, t: float,
                    mode: str) -> np.ndarray:
-    """The mode's _axis_scan of V along one axis, row by row.
+    """The mode's _axis_scan of the 1-d V on the nodes x.
 
-    Each row's winner comes from the lower envelope of its lines, and the
+    Each node's winner comes from the lower envelope of the lines, and the
     scan's own terms re-evaluate it; the nodes the envelope does not
     certify go through _axis_scan.  The margin must cover the rounding of
     the lines and of the terms: 8 eps of max|V| + (max x^2 + span^2)/(2t)
     + |x| max|x|/t bounds both.
     """
     terms, reduce = _hopf_terms(t, mode)
-    rows = np.moveaxis(V, axis, -1)
-    out = np.empty_like(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         half_sq = x * x / (2.0 * t)
-        slopes = -x / t
         reach = max(abs(x[0]), abs(x[-1]))
         rounding = 8 * _EPS * ((reach * reach + (x[-1] - x[0]) ** 2) / (2.0 * t)
-                               + np.abs(x) * reach / t)
-    for idx in np.ndindex(rows.shape[:-1]):
-        row = rows[idx]
-        owner, uncertified = envelope_argmin(
-            slopes, half_sq - row if mode == "max" else half_sq + row, x,
-            rounding + 8 * _EPS * np.max(np.abs(row)))
-        out[idx] = terms(row[owner], x, x[owner])
-        if uncertified.any():
-            out[idx][uncertified] = _axis_scan(row, x, -1, terms, reduce,
-                                               x[uncertified])
-    return np.moveaxis(out, -1, axis)
+                               + np.abs(x) * reach / t + np.max(np.abs(V)))
+    owner, uncertified = envelope_argmin(
+        -x / t, half_sq - V if mode == "max" else half_sq + V, x, rounding)
+    out = terms(V[owner], x, x[owner])
+    if uncertified.any():
+        out[uncertified] = _axis_scan(V, x, -1, terms, reduce, x[uncertified])
+    return out
 
 
 def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
@@ -281,19 +277,21 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     mode "max" is the ascent form max_xi [H0(xi) - (x-xi)^2/(2t)], which can
     only raise the field (take xi = x); mode "min" is the literal
     inf-convolution min_xi [(x-xi)^2/(2t) + H0(xi)], which can only lower
-    it.  One axis at a time: an axis of at least _ENVELOPE_MIN_NODES nodes
-    by the lower envelope with a certified exhaustive fallback, a shorter
-    one by a scan of every node pair.  Both give the scan's float values.
+    it.  A 1-d field of at least _ENVELOPE_MIN_NODES nodes goes by the
+    lower envelope with a certified exhaustive fallback; any other field is
+    scanned one axis at a time over every node pair.  Both give the scan's
+    float values.
     """
     check_real(t, "t", "positive")
     if mode not in _MODES:
         raise InputError(f"mode must be one of {_MODES}")
-    terms, reduce = _hopf_terms(t, mode)
-    H = field0.H
-    for d, x in enumerate(field0.axes()):
-        axis = d - field0.ndim
-        H = (_axis_scan(H, x, axis, terms, reduce) if x.size < _ENVELOPE_MIN_NODES
-             else _axis_envelope(H, x, axis, t, mode))
+    if field0.ndim == 1 and field0.H.size >= _ENVELOPE_MIN_NODES:
+        H = _axis_envelope(field0.H, field0.axes()[0], t, mode)
+    else:
+        terms, reduce = _hopf_terms(t, mode)
+        H = field0.H
+        for d, x in enumerate(field0.axes()):
+            H = _axis_scan(H, x, d - field0.ndim, terms, reduce)
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 

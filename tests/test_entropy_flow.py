@@ -321,23 +321,8 @@ def test_envelope_path_equals_pairwise_oracle_1d(data, n, t, kind):
     want = _oracle(field0, t)
     for mode in ("max", "min"):
         assert np.array_equal(hopf_lax(field0, t, mode).H, want[mode]), mode
-        got = _axis_envelope(H, field0.axes()[0], -1, t, mode)
+        got = _axis_envelope(H, field0.axes()[0], t, mode)
         assert np.array_equal(got, want[mode]), mode
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), shape=st.tuples(st.integers(3, 25), st.integers(3, 25)),
-       t=_times)
-def test_axis_envelope_rows_equal_the_axis_scans_2d(data, shape, t):
-    # every row of a 2-d axis goes through the envelope on its own; below
-    # the crossover hopf_lax scans both axes, which the rows must reproduce
-    H = data.draw(hnp.arrays(float, shape, elements=_values))
-    field0 = EntropyField((data.draw(_origins), data.draw(_origins)),
-                          (data.draw(_spacings), data.draw(_spacings)), H)
-    x0, x1 = field0.axes()
-    for mode in ("max", "min"):
-        got = _axis_envelope(_axis_envelope(H, x0, -2, t, mode), x1, -1, t, mode)
-        assert np.array_equal(got, hopf_lax(field0, t, mode).H), mode
 
 
 def test_far_origin_leaves_every_node_to_the_scan(monkeypatch):

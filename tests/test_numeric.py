@@ -293,6 +293,36 @@ def test_lower_envelope_is_the_exact_hull(lines):
     assert np.isin(np.argmin(values, axis=1), vertices).all()
 
 
+def _assert_exact_hull(slopes, intercepts, vertices) -> None:
+    # the lines of vertices, in rationals, form the exact lower envelope:
+    # slopes fall strictly, crossings rise strictly (so each vertex owns an
+    # interval), no line lies below a crossing, the end lines carry the
+    # extreme slopes, and of equal lines the first stays
+    m = [Fraction(v) for v in slopes.tolist()]
+    c = [Fraction(v) for v in intercepts.tolist()]
+    V = vertices.tolist()
+    assert m[V[0]] == max(m) and m[V[-1]] == min(m)
+    assert all(m[a] > m[b] for a, b in zip(V, V[1:]))
+    X = [(c[b] - c[a]) / (m[a] - m[b]) for a, b in zip(V, V[1:])]
+    assert all(x < y for x, y in zip(X, X[1:]))
+    for x, a in zip(X, V):
+        assert min(ci + mi * x for mi, ci in zip(m, c)) == c[a] + m[a] * x
+    for v in V:
+        assert min((c[i], i) for i in range(len(m)) if m[i] == m[v]) == (c[v], v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slopes=st.integers(3, 12).flatmap(
+           lambda n: hnp.arrays(float, n, elements=st.floats(-5, 5))),
+       x0=st.floats(-10, 10), y0=st.floats(-10, 10))
+def test_lower_envelope_of_nearly_concurrent_lines_is_exact(slopes, x0, y0):
+    # lines through (x0, y0), each intercept rounded: the float orientation
+    # tests fall within their rounding bounds, and only the rational redo
+    # tells which of the lines the exact hull keeps
+    intercepts = y0 - slopes * x0
+    _assert_exact_hull(slopes, intercepts, lower_envelope(slopes, intercepts)[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(lines=_small_lines, grid=hnp.arrays(float, 50, elements=st.floats(-20, 20)))
 def test_envelope_argmin_certifies_only_the_exhaustive_argmin(lines, grid):
