@@ -287,8 +287,73 @@ def _alpha(levels: LevelSet, theta: float, m: float | np.ndarray):
         return -levels.V + theta * g / (m * (g + m))
 
 
-def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> float:
-    """Solve phi00(m) = target on the increasing segment (0, mstar]."""
+def _brent_phi00(neg_V: float, theta: float, g: float, target: float,
+                 lo: float, hi: float) -> float:
+    """brentq(lambda m: phi00(m) - target, lo, hi, xtol=1e-300,
+    rtol=8.9e-16, maxiter=200), with phi00 written into the iteration.
+
+    The float operations and their order are brentq's, so are the iterates,
+    the root and the SolverErrors; only the Python calls per evaluation of
+    a callable are gone.  tests/test_bose_gas.py checks it against brentq.
+    """
+    # Python floats throughout, as brentq's: a numpy scalar would turn the
+    # ZeroDivisionError below into a NaN step and a warning
+    neg_V, theta, g, target = float(neg_V), float(theta), float(g), float(target)
+    log = math.log
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    fpre = neg_V * xpre + theta * log(xpre / (g + xpre)) - target
+    if fpre != fpre:
+        raise SolverError(f"brentq: f is NaN at x = {xpre!r}")
+    fcur = neg_V * xcur + theta * log(xcur / (g + xcur)) - target
+    if fcur != fcur:
+        raise SolverError(f"brentq: f is NaN at x = {xcur!r}")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise SolverError(f"brentq: no sign change on [{xpre!r}, {xcur!r}]")
+    for _ in range(200):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-300 + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = neg_V * xcur + theta * log(xcur / (g + xcur)) - target
+        if fcur != fcur:
+            raise SolverError(f"brentq: f is NaN at x = {xcur!r}")
+    raise SolverError(f"brentq: no convergence after 200 iterations "
+                      f"(x = {xcur!r})")
+
+
+def _low_roots(levels: LevelSet, theta: float, targets: Sequence[float],
+               mstar: float) -> list[float]:
+    """Solve phi00(m) = target on the increasing segment (0, mstar], per target."""
     # _phi00 and _alpha inlined with the same float operations: this is the
     # innermost loop of every branch solve
     g, neg_V, log = levels.g, -levels.V, math.log
@@ -297,46 +362,50 @@ def _low_root(levels: LevelSet, theta: float, target: float, mstar: float) -> fl
         return neg_V * m + theta * log(m / (g + m))
 
     top = phi(mstar)
-    if target > top:
-        raise SolverError("no root on the increasing segment")
-    if target == top:
-        return mstar
-    # Boltzmann-tail guess; nearly exact for roots deep below m*, which keeps
-    # the bracket tight enough for brentq even when the root underflows
-    # toward the denormal range.
-    guess = g * math.exp(min(target / theta, 700.0))
-    if guess == 0.0:
-        raise SolverError("occupation underflow; temperature too low to track")
-    if guess < 0.01 * mstar:
-        lo, hi = 0.25 * guess, min(8.0 * guess, mstar)
-        while phi(hi) < target:
-            hi = min(hi * 8.0, mstar)
-            if hi == mstar:
+    roots = []
+    for target in targets:
+        if target > top:
+            raise SolverError("no root on the increasing segment")
+        if target == top:
+            roots.append(mstar)
+            continue
+        # Boltzmann-tail guess; nearly exact for roots deep below m*, which
+        # keeps the bracket tight enough for Brent even when the root
+        # underflows toward the denormal range.
+        guess = g * math.exp(min(target / theta, 700.0))
+        if guess == 0.0:
+            raise SolverError("occupation underflow; temperature too low to track")
+        if guess < 0.01 * mstar:
+            lo, hi = 0.25 * guess, min(8.0 * guess, mstar)
+            while phi(hi) < target:
+                hi = min(hi * 8.0, mstar)
+                if hi == mstar:
+                    break
+        else:
+            lo, hi = min(guess * 0.5, 0.5 * mstar), mstar
+        lo = max(lo, 5e-324)
+        # lo/(g+lo) can round to 0, where the log is undefined
+        while lo / (g + lo) == 0.0 or phi(lo) > target:
+            lo *= 0.25
+            if lo < 1e-320:
+                raise SolverError("low-root bracketing failed")
+        m = _brent_phi00(neg_V, theta, g, target, lo, hi)
+        # Newton polish; alpha is the exact derivative of phi00 here.  A
+        # step that leaves m unchanged would be repeated, so it ends the loop.
+        for _ in range(3):
+            r = phi(m) - target
+            den = m * (g + m)
+            if den == 0.0:
+                break  # alpha is +inf: the step would be 0
+            a = neg_V + theta * g / den
+            if a <= 0:
                 break
-    else:
-        lo, hi = min(guess * 0.5, 0.5 * mstar), mstar
-    lo = max(lo, 5e-324)
-    # lo/(g+lo) can round to 0, where the log is undefined
-    while lo / (g + lo) == 0.0 or phi(lo) > target:
-        lo *= 0.25
-        if lo < 1e-320:
-            raise SolverError("low-root bracketing failed")
-    m = brentq(lambda x: phi(x) - target, lo, hi,
-               xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    # Newton polish; alpha is the exact derivative of phi00 here.
-    for _ in range(3):
-        r = phi(m) - target
-        den = m * (g + m)
-        if den == 0.0:
-            break  # alpha is +inf: the step would be 0
-        a = neg_V + theta * g / den
-        if a <= 0:
-            break
-        step = r / a
-        if m - step <= 0:
-            break
-        m -= step
-    return float(m)
+            m_next = m - r / a
+            if m_next <= 0 or m_next == m:
+                break
+            m = m_next
+        roots.append(m)
+    return roots
 
 
 def _seed_profile(levels: LevelSet, theta: float, l: int, x: float,
@@ -344,8 +413,9 @@ def _seed_profile(levels: LevelSet, theta: float, l: int, x: float,
     """All low-segment roots given the seed fraction m_l = x; returns (m, mu)."""
     lam = levels.lambdas
     mu = lam[l] + _phi00(levels, theta, x)
-    m = [x if n == l else _low_root(levels, theta, mu - lam_n, mstar)
-         for n, lam_n in enumerate(lam)]
+    m = _low_roots(levels, theta, [mu - lam_n for lam_n in lam[:l] + lam[l + 1:]],
+                   mstar)
+    m.insert(l, x)
     return np.array(m), mu
 
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zerophase import bose_gas
 from zerophase.asymptotics import (convergence_scan, gibbs_fixed_point,
@@ -38,6 +40,7 @@ from zerophase.ensemble import (EnsembleState, closed_form_log_coeff,
 from zerophase.entropy_flow import (EntropyField, FlowConfig,
                                     ascent_trajectory, calibrate_c,
                                     heat_semigroup_residual, hopf_lax)
+from zerophase._numeric import brentq
 from zerophase.errors import (BranchNotFound, BranchTerminated, InputError,
                               SolverError)
 
@@ -656,6 +659,110 @@ def test_low_root_underflow_raises_solver_error(lam, g, V, l):
     for cold in grid[:first]:
         with pytest.raises(SolverError):
             solve_branch(lv, float(cold), l)
+
+
+def _low_root_oracle(levels, theta, target, mstar):
+    """One low root as _low_roots found it before its Brent iteration was
+    written out: brentq on a callable, then three Newton steps."""
+    g, V = levels.g, levels.V
+
+    def phi(m):
+        return -V * m + theta * math.log(m / (g + m))
+
+    top = phi(mstar)
+    if target > top:
+        raise SolverError("no root on the increasing segment")
+    if target == top:
+        return mstar
+    guess = g * math.exp(min(target / theta, 700.0))
+    if guess == 0.0:
+        raise SolverError("occupation underflow; temperature too low to track")
+    if guess < 0.01 * mstar:
+        lo, hi = 0.25 * guess, min(8.0 * guess, mstar)
+        while phi(hi) < target:
+            hi = min(hi * 8.0, mstar)
+            if hi == mstar:
+                break
+    else:
+        lo, hi = min(guess * 0.5, 0.5 * mstar), mstar
+    lo = max(lo, 5e-324)
+    while lo / (g + lo) == 0.0 or phi(lo) > target:
+        lo *= 0.25
+        if lo < 1e-320:
+            raise SolverError("low-root bracketing failed")
+    m = brentq(lambda x: phi(x) - target, lo, hi,
+               xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    for _ in range(3):
+        r = phi(m) - target
+        den = m * (g + m)
+        if den == 0.0:
+            break
+        a = -V + theta * g / den
+        if a <= 0:
+            break
+        step = r / a
+        if m - step <= 0:
+            break
+        m -= step
+    return float(m)
+
+
+def _root_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (SolverError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@example(V=3.3337671845339676, g=6.133082156713804, theta_ratio=1e-3,
+         offsets=[0.0, 1e-300, 1.0, 60.0, 700.0])  # the underflow test's gas
+@given(V=st.floats(0.1, 4.0), g=st.floats(0.05, 8.0),
+       theta_ratio=st.floats(1e-3, 1.0),
+       offsets=st.lists(st.one_of(st.floats(-1.0, 2000.0),
+                                  st.sampled_from([0.0, 5e-324, 1e-300])),
+                        min_size=1, max_size=8))
+def test_low_roots_equal_brentq_on_a_callable(V, g, theta_ratio, offsets):
+    # targets at, just below and far below the top of the segment, and a
+    # few above it; deep ones underflow or fail to bracket
+    lv = LevelSet.from_values((0.0, 1.0), g, V)
+    theta = theta_ratio * theta_upper_bound(lv)
+    mstar = _mstar(lv, theta)
+    top = bose_gas._phi00(lv, theta, mstar)
+    targets = [top - d * theta for d in offsets]
+
+    def oracle(levels, theta, targets, mstar):
+        return [_low_root_oracle(levels, theta, t, mstar) for t in targets]
+
+    assert (_root_or_error(bose_gas._low_roots, lv, theta, targets, mstar)
+            == _root_or_error(oracle, lv, theta, targets, mstar))
+
+
+@settings(max_examples=300, deadline=None)
+@given(V=st.floats(0.1, 4.0), g=st.floats(0.05, 8.0),
+       theta_ratio=st.floats(1e-3, 1.0), offset=st.floats(0.0, 700.0),
+       lo_scale=st.floats(-0.1, 1.0), hi_scale=st.floats(0.5, 20.0),
+       numpy_scalars=st.booleans())
+def test_brent_phi00_equals_brentq_on_any_bracket(V, g, theta_ratio, offset,
+                                                  lo_scale, hi_scale,
+                                                  numpy_scalars):
+    # brackets about the Boltzmann-tail root: most hold it, some lie below
+    # it (no sign change) and some reach below 0 (math.log raises)
+    lv = LevelSet.from_values((0.0, 1.0), g, V)
+    theta = theta_ratio * theta_upper_bound(lv)
+    mstar = _mstar(lv, theta)
+    target = bose_gas._phi00(lv, theta, mstar) - offset * theta
+    tail = g * math.exp(min(target / theta, 700.0))
+    lo, hi = lo_scale * tail, min(hi_scale * tail, mstar)
+
+    def f(m):
+        return -V * m + theta * math.log(m / (g + m)) - target
+
+    args = (-V, theta, g, target, lo, hi)
+    if numpy_scalars:
+        args = tuple(map(np.float64, args))
+    assert (_root_or_error(bose_gas._brent_phi00, *args)
+            == _root_or_error(brentq, f, lo, hi, 1e-300, 8.9e-16, 200))
 
 
 def test_denormal_occupation_overflows_alpha_silently():

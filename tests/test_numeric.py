@@ -54,8 +54,8 @@ def test_logsumexp_equals_scipy(data, shape, axis):
 # (xtol, rtol, maxiter) at the call sites, scipy's defaults, and budgets
 # short enough to run out
 _TOLERANCES = [
-    dict(xtol=1e-300, rtol=8.9e-16, maxiter=200),  # bose_gas._low_root
-    dict(xtol=1e-300, rtol=8.9e-16),               # _low_root's, default cap
+    dict(xtol=1e-300, rtol=8.9e-16, maxiter=200),  # bose_gas._brent_phi00
+    dict(xtol=1e-300, rtol=8.9e-16),               # _brent_phi00's, default cap
     dict(xtol=1e-15, rtol=8.9e-16),                # bose_gas._condensate_solution
     dict(rtol=8.9e-16, maxiter=200),               # condensation.n0_of_money
     dict(),
@@ -104,7 +104,7 @@ def test_brentq_equals_scipy_on_polynomials(coeffs, ends, kwargs):
        kwargs=st.sampled_from(_TOLERANCES))
 def test_brentq_equals_scipy_on_the_low_root_equation(V, theta, g, target,
                                                       kwargs):
-    # phi00(m) - target on (0, m*], the equation _low_root solves
+    # phi00(m) - target on (0, m*], the equation _low_roots solves
     mstar = V * (g + 1.0) / g
 
     def f(m):
