@@ -211,6 +211,10 @@ def logsumexp(a, axis: int | None = None):
     Numer. Anal. 41, 2021), and where that is not finite returns the direct
     log of the sum of the original terms.  a must be nonempty; float64 only.
     A weighted sum of exponentials is the caller's: add ln b to a.
+
+    One temporary the size of a: SciPy's exp(where(i_max, -inf, a) - a_max)
+    is exp(a - a_max) with its max terms set to 0, except where a_max is
+    -inf (0 here, NaN there), and there both sums lead to the fallback.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
@@ -218,8 +222,10 @@ def logsumexp(a, axis: int | None = None):
         a_max = np.max(a, axis=axis, keepdims=True)
         i_max = a == a_max
         m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(i_max, -np.inf, a) - a_max), axis=axis,
-                   keepdims=True, dtype=float)
+        d = np.subtract(a, a_max)
+        np.exp(d, out=d)
+        np.copyto(d, 0.0, where=i_max)
+        s = np.sum(d, axis=axis, keepdims=True, dtype=float)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
@@ -269,10 +275,12 @@ def linear_sampler(axes, values: np.ndarray):
 # ---------------------------------------------------------------------------
 # lower envelope of lines
 
-# A vertex's cluster holds the lines whose slopes lie within this fraction
-# of the largest |slope| of its own: their slope gap bounds nothing, so
-# they are compared with it directly at each query point.  A cluster
-# larger than the cap leaves its queries to the exhaustive scan.
+# A vertex's cluster holds the lines whose slopes differ from its own by
+# at most this fraction of the largest |slope|: their slope gap bounds
+# nothing, so they are compared with it directly at each query point.  A
+# cluster larger than the cap leaves its queries to the exhaustive scan.
+# Lines of the vertex's own slope are not in it: they trail the vertex by
+# their intercept gap, and the smallest one bounds them all.
 _CLUSTER_RTOL = 2.0 ** -20
 _CLUSTER_MAX = 16
 
@@ -343,10 +351,11 @@ def envelope_argmin(slopes, intercepts, q, error=0.0) -> tuple[np.ndarray, np.nd
     q) of its line's exact value.  The certificate: q lies inside owner's
     interval, and a line whose slope lies outside owner's cluster trails it
     at q by at least the slope gap times the distance from q to the interval
-    end on its side; the cluster's lines are compared directly.  Both must
-    beat a margin of 16 eps (max|intercept| + |q| max|slope|) plus twice
-    error.  The uncertified q, and every q when a line is not finite, are
-    the caller's to scan exhaustively.
+    end on its side; a line of owner's slope trails it by at least the
+    smallest intercept gap of that slope; the cluster's lines are compared
+    directly.  All must beat a margin of 16 eps (max|intercept| + |q|
+    max|slope|) plus twice error.  The uncertified q, and every q when a
+    line is not finite, are the caller's to scan exhaustively.
     """
     m = np.asarray(slopes, dtype=float)
     c = np.asarray(intercepts, dtype=float)
@@ -360,13 +369,22 @@ def envelope_argmin(slopes, intercepts, q, error=0.0) -> tuple[np.ndarray, np.nd
         margin = np.broadcast_to(
             16 * _EPS * (np.max(np.abs(c)) + np.abs(q) * np.max(np.abs(m)))
             + 2 * np.asarray(error, dtype=float) + _TINY, q.shape)
-        # each vertex's cluster is the run [lo, hi) of the sorted slopes
+        # each vertex's cluster is the run [lo, hi) of the sorted slopes,
+        # less the run [same, past) of its own slope
         by_slope = np.argsort(m, kind="stable")
         sorted_m = m[by_slope]
         tol = _CLUSTER_RTOL * np.max(np.abs(m))
         mv = m[vertices]
         lo = np.searchsorted(sorted_m, mv - tol, "left")
         hi = np.searchsorted(sorted_m, mv + tol, "right")
+        new_run = np.diff(sorted_m, prepend=-np.inf) != 0
+        starts = np.append(np.flatnonzero(new_run), m.size)
+        at_rank = np.empty_like(by_slope)
+        at_rank[by_slope] = np.arange(m.size)
+        ranked = at_rank[vertices]
+        run = (np.cumsum(new_run) - 1)[ranked]
+        same, past = starts[run], starts[run + 1]
+        size = (hi - lo) - (past - same)
         # smaller slopes win to the right: they trail by the gap times the
         # distance to the right end; larger slopes mirror this on the left
         slack = 4 * _EPS * np.abs(breaks) + _TINY  # a break's rounding
@@ -376,13 +394,22 @@ def envelope_argmin(slopes, intercepts, q, error=0.0) -> tuple[np.ndarray, np.nd
         ok = (lo == 0)[k] | (gap * (right - q) > margin)
         gap = (sorted_m[np.minimum(hi, m.size - 1)] - mv)[k]
         ok &= (hi == m.size)[k] | (gap * (q - left) > margin)
-        ok &= (hi - lo <= _CLUSTER_MAX)[k]
-        # the rest of a cluster, one rank at a time, where it has a rest
-        at = np.flatnonzero(ok & (hi - lo > 1)[k])
-        first, last, v, qa = lo[k[at]], hi[k[at]], owner[at], q[at]
-        for rank in range(min(int(np.max(hi - lo)), _CLUSTER_MAX)):
-            w = by_slope[np.minimum(first + rank, m.size - 1)]
-            rival = (first + rank < last) & (w != v)
+        ok &= (size <= _CLUSTER_MAX)[k]
+        # the vertex has the smallest intercept of its slope; the other
+        # lines of it trail by the smallest intercept of the run with the
+        # vertex's own masked out (inf when it is alone)
+        rest = c[by_slope]
+        rest[ranked] = np.inf
+        runner_up = np.minimum.reduceat(rest, starts[:-1])[run]
+        ok &= (runner_up - c[vertices])[k] > margin
+        # the cluster, one rank at a time, where it has lines
+        at = np.flatnonzero(ok & (size > 0)[k])
+        v, qa, kv = owner[at], q[at], k[at]
+        first, split, skip, last = lo[kv], same[kv], (past - same)[kv], hi[kv]
+        for rank in range(min(int(np.max(size)), _CLUSTER_MAX)):
+            pos = first + rank
+            pos += np.where(pos < split, 0, skip)
+            w = by_slope[np.minimum(pos, m.size - 1)]
             lead = (c[w] - c[v]) + (m[w] - m[v]) * qa > margin[at]
-            ok[at] &= ~rival | lead
+            ok[at] &= (pos >= last) | lead
     return owner, ~ok

@@ -212,39 +212,52 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
 # no measured row gets slower.
 _ENVELOPE_MIN_NODES = 512
 
+# Terms per block of _axis_scan.  A 1-d smoothing block, its squared
+# distances and the one temporary logsumexp adds take 1.5 MB, and stay in
+# a core's 2 MB L2; the sweep that chose it is in BENCH_blocks.json.
+_SCAN_BLOCK = 2 ** 16
 
-def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, terms: Callable,
-               reduce: Callable, xi: np.ndarray | None = None) -> np.ndarray:
-    """Reduce terms(V_j, x_i, x_j) over the nodes x_j of one grid axis.
+
+def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, reduce: Callable,
+               xi: np.ndarray | None = None) -> np.ndarray:
+    """Reduce the terms of V_j and (x_i - x_j)^2 over the nodes x_j of one axis.
 
     axis counts from the end, so V and the reduction may carry leading
     stacked components.  The output nodes x_i are xi, all of x by default.
-    terms gets V with the scanned axis last and a new output-node axis
-    before it, a chunk of output nodes x_i as a column and all nodes x_j as
-    a row; reduce collapses the last axis.  Chunks keep each block of terms
-    near 1e6 elements (8 MB); every output row is reduced on its own, so the
-    result does not depend on the chunking, and small blocks bound the peak
-    memory of reductions that hold several block-sized copies (logsumexp
-    does).  terms should build (x_i - x_j)^2 inside one expression, so
-    numpy reuses that temporary in place and no extra chunk-sized array is
-    alive while reduce runs.
+    reduce(v, sq) gets V with the scanned axis last and a new output-node
+    axis before it, and the squared distances sq of a block of output nodes
+    (rows) to all nodes (columns); it collapses the last axis, and may
+    overwrite sq.  A block holds about _SCAN_BLOCK terms, and at least two
+    rows: numpy lays out the reduction of a one-row block otherwise, and
+    when every block of a 2-d field has one row, their concatenation takes
+    that layout and the next axis sums its rows in another order.  Every
+    output row is reduced on its own, over a row laid out as at any other
+    block size, so the result does not depend on the block size.
+
+    reduce should let numpy allocate its one block of terms, from the first
+    operation that broadcasts v against sq, and finish the block in place
+    with out= ufuncs: that keeps the layout numpy picks for the block, and
+    with it the summation order of the reduction, and each later pass
+    finds the block still in cache.
     """
     xi = x if xi is None else xi
     Vm = np.moveaxis(V, axis, -1)[..., None, :]
-    rows = max(1, min(xi.size, int(1e6) // Vm.size))
-    out = np.concatenate(
-        [reduce(terms(Vm, xi[s:s + rows, None], x[None, :]))
-         for s in range(0, xi.size, rows)], axis=-1)
-    return np.moveaxis(out, -1, axis)
+    rows = max(2, _SCAN_BLOCK // Vm.size)
+    parts = []
+    for s in range(0, xi.size, rows):
+        sq = xi[s:s + rows, None] - x
+        sq *= sq
+        parts.append(reduce(Vm, sq))
+    return np.moveaxis(np.concatenate(parts, axis=-1), -1, axis)
 
 
-def _hopf_terms(t: float, mode: str) -> tuple[Callable, Callable]:
-    """(terms, reduce) of _axis_scan for the mode's envelope."""
+def _hopf_reduce(t: float, mode: str) -> Callable:
+    """The reduce of _axis_scan for the mode's envelope."""
     if mode == "max":
-        return (lambda v, xi, xj: v - (xi - xj) ** 2 / (2.0 * t),
-                lambda a: np.max(a, axis=-1))
-    return (lambda v, xi, xj: v + (xi - xj) ** 2 / (2.0 * t),
-            lambda a: np.min(a, axis=-1))
+        return lambda v, sq: np.max(
+            np.subtract(v, np.divide(sq, 2.0 * t, out=sq)), axis=-1)
+    return lambda v, sq: np.min(
+        np.add(v, np.divide(sq, 2.0 * t, out=sq)), axis=-1)
 
 
 def _axis_envelope(V: np.ndarray, x: np.ndarray, t: float,
@@ -257,7 +270,7 @@ def _axis_envelope(V: np.ndarray, x: np.ndarray, t: float,
     the lines and of the terms: 8 eps of max|V| + (max x^2 + span^2)/(2t)
     + |x| max|x|/t bounds both.
     """
-    terms, reduce = _hopf_terms(t, mode)
+    reduce = _hopf_reduce(t, mode)
     with np.errstate(over="ignore", invalid="ignore"):
         half_sq = x * x / (2.0 * t)
         reach = max(abs(x[0]), abs(x[-1]))
@@ -265,9 +278,11 @@ def _axis_envelope(V: np.ndarray, x: np.ndarray, t: float,
                                + np.abs(x) * reach / t + np.max(np.abs(V)))
     owner, uncertified = envelope_argmin(
         -x / t, half_sq - V if mode == "max" else half_sq + V, x, rounding)
-    out = terms(V[owner], x, x[owner])
+    sq = x - x[owner]
+    sq *= sq
+    out = reduce(V[owner, None], sq[:, None])
     if uncertified.any():
-        out[uncertified] = _axis_scan(V, x, -1, terms, reduce, x[uncertified])
+        out[uncertified] = _axis_scan(V, x, -1, reduce, x[uncertified])
     return out
 
 
@@ -288,10 +303,10 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     if field0.ndim == 1 and field0.H.size >= _ENVELOPE_MIN_NODES:
         H = _axis_envelope(field0.H, field0.axes()[0], t, mode)
     else:
-        terms, reduce = _hopf_terms(t, mode)
+        reduce = _hopf_reduce(t, mode)
         H = field0.H
         for d, x in enumerate(field0.axes()):
-            H = _axis_scan(H, x, d - field0.ndim, terms, reduce)
+            H = _axis_scan(H, x, d - field0.ndim, reduce)
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 
@@ -304,11 +319,14 @@ def log_gaussian_smoothing(field0: EntropyField, t: float) -> EntropyField:
     check_real(t, "t", "positive")
     k = field0.ndim
     log_hk = float(np.sum(np.log(field0.spacing)))
+
+    def reduce(v, sq):
+        return logsumexp(np.subtract(v, np.divide(sq, 2.0 * t, out=sq)),
+                         axis=-1)
+
     H = field0.H
     for d, x in enumerate(field0.axes()):
-        H = _axis_scan(H, x, d - k,
-                       lambda v, xi, xj: v - (xi - xj) ** 2 / (2.0 * t),
-                       lambda a: logsumexp(a, axis=-1))
+        H = _axis_scan(H, x, d - k, reduce)
     H += log_hk - 0.5 * k * math.log(t)
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
@@ -328,30 +346,29 @@ def heat_semigroup_residual(field0: EntropyField, t: float) -> float:
     # Each axis multiplies in its kernel factor and adds its own u_t term,
     # w * d(ln kernel)/dt = w * (d^2/(2t^2) - 1/(2t)); the u_t of earlier
     # axes rides along linearly.  The first axis starts from the log field.
+    # rate overwrites both of its blocks.
     def rate(w, sq):
-        return np.sum(w * (sq / (2.0 * t * t) - 1 / (2.0 * t)), axis=-1)
+        sq /= 2.0 * t * t
+        sq -= 1 / (2.0 * t)
+        return np.sum(np.multiply(w, sq, out=w), axis=-1)
 
-    def first_terms(v, xi, xj):
-        sq = (xi - xj) ** 2
-        return np.exp(v - sq / (2.0 * t) + log_hk), sq
+    def first_reduce(v, sq):
+        w = np.subtract(v, sq / (2.0 * t))
+        w += log_hk
+        np.exp(w, out=w)
+        u = np.sum(w, axis=-1)
+        return np.stack((u, rate(w, sq)))
 
-    def first_reduce(p):
-        w, sq = p
-        return np.stack((np.sum(w, axis=-1), rate(w, sq)))
-
-    def later_terms(v, xi, xj):
-        sq = (xi - xj) ** 2
-        return v * np.exp(-sq / (2.0 * t)), sq
-
-    def later_reduce(p):
-        w, sq = p
-        return np.stack((np.sum(w[0], axis=-1),
-                         np.sum(w[1], axis=-1) + rate(w[0], sq)))
+    def later_reduce(v, sq):
+        # the kernel has the shape of sq, smaller than w by the components
+        w = np.multiply(v, np.exp(-sq / (2.0 * t)))
+        u, ut = np.sum(w[0], axis=-1), np.sum(w[1], axis=-1)
+        return np.stack((u, ut + rate(w[0], sq)))
 
     axes = field0.axes()
-    u_ut = _axis_scan(field0.H, axes[0], -k, first_terms, first_reduce)
+    u_ut = _axis_scan(field0.H, axes[0], -k, first_reduce)
     for d in range(1, k):
-        u_ut = _axis_scan(u_ut, axes[d], d - k, later_terms, later_reduce)
+        u_ut = _axis_scan(u_ut, axes[d], d - k, later_reduce)
     u, ut = u_ut
 
     lap = np.zeros_like(u)

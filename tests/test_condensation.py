@@ -266,3 +266,19 @@ def test_envelope_certifies_the_scan_grids(n1, n2, N, gamma, sign):
     assert social_explosion_scan(eco, T) == _exhaustive_scan(eco, T)
     _, breaks = lower_envelope(slopes, e)
     assert envelope_argmin(slopes, e, breaks)[1].all()
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_envelope_certifies_lines_of_one_slope(sign):
+    """With one agent per level every multiplicity is 1, so all N + 1 lines
+    have slope 0.  They trail the owner by their intercept gaps, which
+    certify them all at once: no cluster cap leaves a temperature to the
+    exhaustive scan."""
+    eco = TwoLevelEconomy(n1=1, n2=1, N=5000, gamma_int=1.5,
+                          sign_convention=sign)
+    slopes = condensation._log_multiplicity(eco)
+    assert not slopes.any()
+    T = np.linspace(0.0, 10.0, 20000)
+    _, uncertified = envelope_argmin(slopes, condensation._energy_part(eco), T)
+    assert not uncertified.any()
+    assert social_explosion_scan(eco, T) == _exhaustive_scan(eco, T)

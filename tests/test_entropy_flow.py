@@ -242,7 +242,11 @@ def _transforms(field0: EntropyField, t: float) -> dict:
 
 
 def test_multi_chunk_scan_equals_pairwise_oracle():
-    # 2100 nodes: the scan splits its output nodes into five chunks
+    # 2100 nodes: the scan splits its output nodes into blocks of
+    # _SCAN_BLOCK // 2100 rows, the last of them shorter (at 2**16, 67
+    # blocks of 31 rows and one of 23)
+    rows = entropy_flow._SCAN_BLOCK // 2100
+    assert 2 <= rows < 2100 and 2100 % rows
     H = np.random.default_rng(5).uniform(-5.0, 5.0, 2100)
     field0 = EntropyField((-1.0,), (1e-3,), H)
     want = _oracle(field0, 0.1)
@@ -250,6 +254,23 @@ def test_multi_chunk_scan_equals_pairwise_oracle():
     for key in ("max", "min", "smooth"):
         assert np.array_equal(got[key], want[key]), key
     assert got["heat"] == want["heat"]
+
+
+@pytest.mark.parametrize("shape", [(1000,), (150, 120)])
+def test_scans_do_not_depend_on_the_block_size(monkeypatch, shape):
+    """The smallest blocks (two output rows), and one block for a whole
+    axis, give the bits of the default blocks, which split every axis here.
+    On the 2-d field the heat residual's second axis scans both stacked
+    components, u and u_t, in one block."""
+    H = np.random.default_rng(11).uniform(-5.0, 5.0, shape)
+    field0 = EntropyField((-0.4,) * H.ndim, (0.03,) * H.ndim, H)
+    want = _transforms(field0, 0.05)
+    for block in (1, 10 ** 9):
+        monkeypatch.setattr(entropy_flow, "_SCAN_BLOCK", block)
+        got = _transforms(field0, 0.05)
+        for key in ("max", "min", "smooth"):
+            assert np.array_equal(got[key], want[key]), (block, key)
+        assert got["heat"] == want["heat"], block
 
 
 _values = st.floats(-5.0, 5.0)
@@ -333,9 +354,9 @@ def test_far_origin_leaves_every_node_to_the_scan(monkeypatch):
     scanned = []
     scan = entropy_flow._axis_scan
 
-    def recorded(V, x, axis, terms, reduce, xi=None):
+    def recorded(V, x, axis, reduce, xi=None):
         scanned.append(x.size if xi is None else xi.size)
-        return scan(V, x, axis, terms, reduce, xi)
+        return scan(V, x, axis, reduce, xi)
 
     monkeypatch.setattr(entropy_flow, "_axis_scan", recorded)
     n = _ENVELOPE_MIN_NODES + 44

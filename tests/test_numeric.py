@@ -28,9 +28,11 @@ from zerophase.errors import InputError, SolverError
 # ---------------------------------------------------------------------------
 # logsumexp
 
-# small values tie at the max; +-800 overflow exp in the direct sum
+# small values tie at the max; +-800 overflow exp in the direct sum; rows
+# of -inf, with an inf max or with a NaN take the direct fallback
 _exponents = st.one_of(st.floats(-50.0, 50.0),
-                       st.sampled_from([0.0, 2.5, 800.0, -800.0]))
+                       st.sampled_from([0.0, 2.5, 800.0, -800.0]),
+                       st.sampled_from([np.inf, -np.inf, np.nan]))
 
 
 def _same(got, want) -> bool:
