@@ -221,7 +221,7 @@ def logsumexp(a, axis: int | None = None):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         i_max = a == a_max
-        m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
+        m = np.count_nonzero(i_max, axis=axis, keepdims=True)
         d = np.subtract(a, a_max)
         np.exp(d, out=d)
         np.copyto(d, 0.0, where=i_max)
@@ -274,16 +274,6 @@ def linear_sampler(axes, values: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # lower envelope of lines
-
-# A vertex's cluster holds the lines whose slopes differ from its own by
-# at most this fraction of the largest |slope|: their slope gap bounds
-# nothing, so they are compared with it directly at each query point.  A
-# cluster larger than the cap leaves its queries to the exhaustive scan.
-# Lines of the vertex's own slope are not in it: they trail the vertex by
-# their intercept gap, and the smallest one bounds them all.
-_CLUSTER_RTOL = 2.0 ** -20
-_CLUSTER_MAX = 16
-
 
 def lower_envelope(slopes, intercepts) -> tuple[np.ndarray, np.ndarray]:
     """(vertices, breaks) of the lower envelope of intercepts + slopes * q.
@@ -348,68 +338,54 @@ def envelope_argmin(slopes, intercepts, q, error=0.0) -> tuple[np.ndarray, np.nd
     At a certified q the float values intercepts + slopes * q have a strict
     unique minimum at owner, and so do the caller's own float evaluations of
     its lines, as long as each lies within error (a scalar or one bound per
-    q) of its line's exact value.  The certificate: q lies inside owner's
-    interval, and a line whose slope lies outside owner's cluster trails it
-    at q by at least the slope gap times the distance from q to the interval
-    end on its side; a line of owner's slope trails it by at least the
-    smallest intercept gap of that slope; the cluster's lines are compared
-    directly.  All must beat a margin of 16 eps (max|intercept| + |q|
-    max|slope|) plus twice error.  The uncertified q, and every q when a
-    line is not finite, are the caller's to scan exhaustively.
+    q) of its line's exact value.  The certificate: the lowest other line,
+    found exactly, trails owner at q by more than a margin of 16 eps
+    (max|intercept| + |q| max|slope|) plus twice error.  The uncertified q,
+    and every q when a line is not finite, are the caller's to scan
+    exhaustively.
     """
     m = np.asarray(slopes, dtype=float)
     c = np.asarray(intercepts, dtype=float)
     q = np.asarray(q, dtype=float)
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+    if not (q.size and np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
         return np.zeros(q.shape, dtype=np.intp), np.ones(q.shape, dtype=bool)
     vertices, breaks = lower_envelope(m, c)
+    last = vertices.size - 1
+
+    def at(lines):
+        return c[lines] + m[lines] * q
+
     with np.errstate(all="ignore"):
         k = np.searchsorted(breaks, q)
         owner = vertices[k]
-        margin = np.broadcast_to(
-            16 * _EPS * (np.max(np.abs(c)) + np.abs(q) * np.max(np.abs(m)))
-            + 2 * np.asarray(error, dtype=float) + _TINY, q.shape)
-        # each vertex's cluster is the run [lo, hi) of the sorted slopes,
-        # less the run [same, past) of its own slope
-        by_slope = np.argsort(m, kind="stable")
-        sorted_m = m[by_slope]
-        tol = _CLUSTER_RTOL * np.max(np.abs(m))
-        mv = m[vertices]
-        lo = np.searchsorted(sorted_m, mv - tol, "left")
-        hi = np.searchsorted(sorted_m, mv + tol, "right")
-        new_run = np.diff(sorted_m, prepend=-np.inf) != 0
-        starts = np.append(np.flatnonzero(new_run), m.size)
-        at_rank = np.empty_like(by_slope)
-        at_rank[by_slope] = np.arange(m.size)
-        ranked = at_rank[vertices]
-        run = (np.cumsum(new_run) - 1)[ranked]
-        same, past = starts[run], starts[run + 1]
-        size = (hi - lo) - (past - same)
-        # smaller slopes win to the right: they trail by the gap times the
-        # distance to the right end; larger slopes mirror this on the left
-        slack = 4 * _EPS * np.abs(breaks) + _TINY  # a break's rounding
-        right = np.append(breaks - slack, np.inf)[k]
-        left = np.insert(breaks + slack, 0, -np.inf)[k]
-        gap = (mv - sorted_m[np.maximum(lo - 1, 0)])[k]
-        ok = (lo == 0)[k] | (gap * (right - q) > margin)
-        gap = (sorted_m[np.minimum(hi, m.size - 1)] - mv)[k]
-        ok &= (hi == m.size)[k] | (gap * (q - left) > margin)
-        ok &= (size <= _CLUSTER_MAX)[k]
-        # the vertex has the smallest intercept of its slope; the other
-        # lines of it trail by the smallest intercept of the run with the
-        # vertex's own masked out (inf when it is alone)
-        rest = c[by_slope]
-        rest[ranked] = np.inf
-        runner_up = np.minimum.reduceat(rest, starts[:-1])[run]
-        ok &= (runner_up - c[vertices])[k] > margin
-        # the cluster, one rank at a time, where it has lines
-        at = np.flatnonzero(ok & (size > 0)[k])
-        v, qa, kv = owner[at], q[at], k[at]
-        first, split, skip, last = lo[kv], same[kv], (past - same)[kv], hi[kv]
-        for rank in range(min(int(np.max(size)), _CLUSTER_MAX)):
-            pos = first + rank
-            pos += np.where(pos < split, 0, skip)
-            w = by_slope[np.minimum(pos, m.size - 1)]
-            lead = (c[w] - c[v]) + (m[w] - m[v]) * qa > margin[at]
-            ok[at] &= (pos >= last) | lead
+        margin = (16 * _EPS * (np.max(np.abs(c)) + np.abs(q) * np.max(np.abs(m)))
+                  + 2 * np.asarray(error, dtype=float) + _TINY)
+        # the exact values of the vertices fall toward the exact owner and
+        # rise past it: the lowest other vertex is a neighbour of it, and
+        # where k is not the owner, a neighbour of k is no higher
+        runner_up = np.minimum(
+            np.where(k > 0, at(vertices[k - 1]), np.inf),
+            np.where(k < last, at(vertices[np.minimum(k + 1, last)]), np.inf))
+        # on the owners' intervals a line off the envelope at least as steep
+        # as the vertex before the first owner trails that vertex, and one
+        # no steeper than the vertex after the last owner trails that one
+        lo, hi = k.min(), k.max()
+        rest = np.ones(m.size, dtype=bool)
+        rest[vertices] = False
+        rest &= m < (m[vertices[lo - 1]] if lo else np.inf)
+        rest &= m > (m[vertices[hi + 1]] if hi < last else -np.inf)
+        rest = np.flatnonzero(rest)
+        if rest.size:
+            # the lowest of the rest owns their envelope at q.  Each finite
+            # rounded break, widened by its rounding, holds the exact one,
+            # so q lies in the interval of first, of end or of one between;
+            # where none lies between, the lower of the two is the lowest
+            inner, cuts = lower_envelope(m[rest], c[rest])
+            slack = 4 * _EPS * np.abs(cuts) + _TINY
+            first = np.searchsorted(cuts + slack, q)
+            end = np.searchsorted(cuts - slack, q)
+            known = (end - first < 2) & np.all(np.isfinite(cuts))
+            lowest = np.minimum(at(rest[inner[first]]), at(rest[inner[end]]))
+            runner_up = np.minimum(runner_up, np.where(known, lowest, -np.inf))
+        ok = runner_up - at(owner) > margin
     return owner, ~ok

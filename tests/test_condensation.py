@@ -254,8 +254,8 @@ def test_envelope_scan_equals_exhaustive_scan(n1, n2, N, gamma, sign, T_max, cou
 def test_envelope_certifies_the_scan_grids(n1, n2, N, gamma, sign):
     """On uniform grids the envelope certifies every temperature, also on
     the symmetric economy, where s(N1) and s(N - N1) differ in the last
-    bits: their near-equal slopes are compared directly, not bounded by
-    their gap; at the breakpoints themselves it certifies none."""
+    bits: the runner-up is found exactly, not bounded by a slope gap; at
+    the breakpoints themselves it certifies none."""
     eco = TwoLevelEconomy(n1=n1, n2=n2, N=N, gamma_int=gamma,
                           sign_convention=sign)
     slopes = (-1.0 if sign == "minus" else 1.0) * condensation._log_multiplicity(eco)
@@ -271,9 +271,9 @@ def test_envelope_certifies_the_scan_grids(n1, n2, N, gamma, sign):
 @pytest.mark.parametrize("sign", ["minus", "plus"])
 def test_envelope_certifies_lines_of_one_slope(sign):
     """With one agent per level every multiplicity is 1, so all N + 1 lines
-    have slope 0.  They trail the owner by their intercept gaps, which
-    certify them all at once: no cluster cap leaves a temperature to the
-    exhaustive scan."""
+    have slope 0.  One of them is the envelope; the others form an envelope
+    of their own, whose lowest line is the exact runner-up, so no
+    temperature is left to the exhaustive scan."""
     eco = TwoLevelEconomy(n1=1, n2=1, N=5000, gamma_int=1.5,
                           sign_convention=sign)
     slopes = condensation._log_multiplicity(eco)

@@ -348,9 +348,11 @@ def test_envelope_path_equals_pairwise_oracle_1d(data, n, t, kind):
 
 def test_far_origin_leaves_every_node_to_the_scan(monkeypatch):
     """At |x| ~ 1e6 and t = 0.1 the lines' intercepts x^2/(2t) are ~5e12,
-    so the rounding margin is ~0.5, while a neighbouring node's line trails
-    by at most (h/t) h = 1e-5 at a node: no node can be certified, and each
-    must come from the exhaustive scan, equal to the oracle."""
+    so the rounding margin is ~0.5.  On a constant field every line is a
+    vertex and a neighbouring node's line trails by h^2/(2t) = 5e-6 at a
+    node: no node can be certified, and each must come from the exhaustive
+    scan.  On a random field the certified nodes and the scanned ones
+    together still equal the oracle."""
     scanned = []
     scan = entropy_flow._axis_scan
 
@@ -360,11 +362,12 @@ def test_far_origin_leaves_every_node_to_the_scan(monkeypatch):
 
     monkeypatch.setattr(entropy_flow, "_axis_scan", recorded)
     n = _ENVELOPE_MIN_NODES + 44
-    H = np.random.default_rng(3).uniform(-5.0, 5.0, n)
-    field0 = EntropyField((1e6,), (1e-3,), H)
-    want = _oracle(field0, 0.1)
-    for mode in ("max", "min"):
-        assert np.array_equal(hopf_lax(field0, 0.1, mode).H, want[mode])
+    for H in (np.random.default_rng(3).uniform(-5.0, 5.0, n), np.full(n, 1.5)):
+        scanned.clear()
+        field0 = EntropyField((1e6,), (1e-3,), H)
+        want = _oracle(field0, 0.1)
+        for mode in ("max", "min"):
+            assert np.array_equal(hopf_lax(field0, 0.1, mode).H, want[mode])
     assert scanned == [n, n]
 
 

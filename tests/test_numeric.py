@@ -360,6 +360,61 @@ def test_envelope_argmin_leaves_non_finite_lines_to_the_scan():
     assert uncertified.all()
 
 
+@settings(max_examples=150, deadline=None)
+@given(lines=_small_lines)
+def test_envelope_argmin_certifies_every_unique_minimizer(lines):
+    # off the breakpoints of small-integer lines the exact gaps are at
+    # least 1/(17 * 8), far above the margin: each unique exact minimizer
+    # at q = p/17 is certified
+    slopes, intercepts = lines
+    q = (np.arange(-680, 680, 17) + 5) / 17
+    owner, uncertified = envelope_argmin(slopes, intercepts, q)
+    for j, x in enumerate(q.tolist()):
+        values = [Fraction(c) + Fraction(m) * Fraction(x)
+                  for m, c in zip(slopes.tolist(), intercepts.tolist())]
+        if values.count(min(values)) == 1:
+            assert not uncertified[j] and owner[j] == values.index(min(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=_small_lines, start=st.integers(-160, 160), count=st.integers(1, 40))
+def test_envelope_argmin_certifies_only_strict_minima_in_a_window(lines, start, count):
+    # q = k/8 holds every breakpoint of the window, and the float values
+    # of small-integer lines there are exact; a window that misses the
+    # first or the last vertices leaves lines to trail those past its ends
+    slopes, intercepts = lines
+    q = (start + np.arange(count)) / 8
+    owner, uncertified = envelope_argmin(slopes, intercepts, q)
+    values = intercepts + slopes * q[:, None]
+    least = values == values.min(axis=1, keepdims=True)
+    certified = np.flatnonzero(~uncertified)
+    assert np.all(least[certified, owner[certified]])
+    assert np.all(least[certified].sum(axis=1) == 1)
+
+
+def test_envelope_argmin_certifies_near_equal_slopes():
+    # forty lines through one point at q = -2**40, with slopes 2**-40
+    # apart: line 0 leads line 1 by about 1 everywhere on [-5, 5]
+    i = np.arange(40.0)
+    owner, uncertified = envelope_argmin(1 + i * 2.0 ** -40, i,
+                                         np.linspace(-5.0, 5.0, 101))
+    assert not uncertified.any() and not owner.any()
+
+
+def test_envelope_argmin_certifies_at_a_crossing_off_the_envelope():
+    # lines 3 and 4 are off the envelope and cross at q = 0, where the
+    # owner, line 1, leads them by 5: their two lines bracket the crossing
+    owner, uncertified = envelope_argmin([2.0, 0.0, -2.0, 1.0, -1.0],
+                                         [0.0, -10.0, 0.0, -5.0, -5.0], [0.0])
+    assert owner.tolist() == [1] and not uncertified.any()
+
+
+def test_envelope_argmin_of_no_points_is_empty():
+    owner, uncertified = envelope_argmin([1.0, 2.0], [0.0, 1.0], [])
+    assert owner.shape == uncertified.shape == (0,)
+    assert owner.dtype == np.intp and uncertified.dtype == bool
+
+
 # ---------------------------------------------------------------------------
 # scalar input gates
 
