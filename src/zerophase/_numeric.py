@@ -141,7 +141,8 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
 
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 4.
     Raises SolverError when f(a) and f(b) share a sign, when f is NaN, and
-    when maxiter iterations do not converge.
+    when maxiter iterations do not converge.  Each evaluation is one call of
+    f, NaN-tested inline: bose_gas._low_roots solves every level this way.
     """
     # Python floats throughout: a zero step denominator then raises the
     # ZeroDivisionError caught below, where numpy scalars would give NaN
@@ -153,15 +154,14 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
     if maxiter < 0:
         raise ValueError("maxiter must be >= 0")
 
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise SolverError(f"brentq: f is NaN at x = {x!r}")
-        return fx
-
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise SolverError(f"brentq: f is NaN at x = {xpre!r}")
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise SolverError(f"brentq: f is NaN at x = {xcur!r}")
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -199,7 +199,9 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise SolverError(f"brentq: f is NaN at x = {xcur!r}")
     raise SolverError(f"brentq: no convergence after {maxiter} iterations "
                       f"(x = {xcur!r})")
 

@@ -287,75 +287,11 @@ def _alpha(levels: LevelSet, theta: float, m: float | np.ndarray):
         return -levels.V + theta * g / (m * (g + m))
 
 
-def _brent_phi00(neg_V: float, theta: float, g: float, target: float,
-                 lo: float, hi: float) -> float:
-    """brentq(lambda m: phi00(m) - target, lo, hi, xtol=1e-300,
-    rtol=8.9e-16, maxiter=200), with phi00 written into the iteration.
-
-    The float operations and their order are brentq's, so are the iterates,
-    the root and the SolverErrors; only the Python calls per evaluation of
-    a callable are gone.  tests/test_bose_gas.py checks it against brentq.
-    """
-    # Python floats throughout, as brentq's: a numpy scalar would turn the
-    # ZeroDivisionError below into a NaN step and a warning
-    neg_V, theta, g, target = float(neg_V), float(theta), float(g), float(target)
-    log = math.log
-    xpre, xcur = float(lo), float(hi)
-    xblk = fblk = spre = scur = 0.0
-    fpre = neg_V * xpre + theta * log(xpre / (g + xpre)) - target
-    if fpre != fpre:
-        raise SolverError(f"brentq: f is NaN at x = {xpre!r}")
-    fcur = neg_V * xcur + theta * log(xcur / (g + xcur)) - target
-    if fcur != fcur:
-        raise SolverError(f"brentq: f is NaN at x = {xcur!r}")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise SolverError(f"brentq: no sign change on [{xpre!r}, {xcur!r}]")
-    for _ in range(200):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-300 + 8.9e-16 * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = neg_V * xcur + theta * log(xcur / (g + xcur)) - target
-        if fcur != fcur:
-            raise SolverError(f"brentq: f is NaN at x = {xcur!r}")
-    raise SolverError(f"brentq: no convergence after 200 iterations "
-                      f"(x = {xcur!r})")
-
-
 def _low_roots(levels: LevelSet, theta: float, targets: Sequence[float],
                mstar: float) -> list[float]:
     """Solve phi00(m) = target on the increasing segment (0, mstar], per target."""
-    # _phi00 and _alpha inlined with the same float operations: this is the
-    # innermost loop of every branch solve
+    # _phi00 and _alpha inlined with the same float operations, brentq's f
+    # too: this is the innermost loop of every branch solve
     g, neg_V, log = levels.g, -levels.V, math.log
 
     def phi(m: float) -> float:
@@ -389,7 +325,8 @@ def _low_roots(levels: LevelSet, theta: float, targets: Sequence[float],
             lo *= 0.25
             if lo < 1e-320:
                 raise SolverError("low-root bracketing failed")
-        m = _brent_phi00(neg_V, theta, g, target, lo, hi)
+        m = brentq(lambda m: neg_V * m + theta * log(m / (g + m)) - target,
+                   lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
         # Newton polish; alpha is the exact derivative of phi00 here.  A
         # step that leaves m unchanged would be repeated, so it ends the loop.
         for _ in range(3):
@@ -805,30 +742,45 @@ def _corrected_state(levels: LevelSet, theta: float,
     return st if st.stable else None
 
 
-def _grid_states(levels: LevelSet, l: int,
-                 thetas: np.ndarray) -> tuple[list[BranchState], float | None]:
-    """Live states on the grid up to the first dead point, and that point.
+def _fold_between(levels: LevelSet, st: BranchState, hi: float) -> float | None:
+    # the fold temperature of st's branch if it lies in (st.theta, hi)
+    theta_f = _fold_theta(levels, st)
+    return theta_f if theta_f is not None and st.theta < theta_f < hi else None
+
+
+def _grid_states(levels: LevelSet, l: int, thetas: np.ndarray
+                 ) -> tuple[list[BranchState], float | None, float | None]:
+    """Live states on the grid up to the first dead point, that point, and
+    the fold temperature theta_f sought from the last live state.
 
     The walk starts at the first point whose cold solve succeeds: at the
     coldest points the tail occupations of a live branch can underflow, so
     leading points that fail are dropped, and BranchTerminated is raised
     only if no point solves.  Off the ground seed each later point is
-    predicted and corrected from the one before, with the hinted cold solve
-    as the fallback.  The dead temperature is None if the branch lives on
-    the rest of the grid.
+    predicted and corrected from the one before.  Where the corrector
+    fails, theta_f is sought from the last live state: past the fold the
+    branch is dead, so a point above theta_f (1 + 1e-9) is not solved, and
+    any other is solved cold, hinted by the last state.  The dead point is
+    None if the branch lives on the rest of the grid; theta_f is None unless
+    it lies between the last live state and the dead point.
     """
     states: list[BranchState] = []
+    theta_f = None
     for theta in map(float, thetas):
         prev = states[-1] if states else None
         st = None
         if prev is not None and l != levels.ground:
             st = _corrected_state(levels, theta, prev)
+            if st is None:
+                theta_f = _fold_between(levels, prev, theta)
+                if theta_f is not None and theta > theta_f * (1.0 + 1e-9):
+                    return states, theta, theta_f
         if st is None:
             st = _branch_alive(levels, theta, l, None if prev is None else prev.m[l])
         if st is None:
             if prev is None:
                 continue
-            return states, theta
+            return states, theta, theta_f
         if prev is not None:
             # ties allowed: below float resolution the occupations underflow
             old, cur = prev.m_array(), st.m_array()
@@ -837,11 +789,11 @@ def _grid_states(levels: LevelSet, l: int,
         states.append(st)
     if not states:
         raise BranchTerminated("branch has no solution on the given grid")
-    return states, None
+    return states, None, None
 
 
 def _bisect_death(levels: LevelSet, l: int, states: list[BranchState],
-                  hi: float | None,
+                  hi: float | None, theta_f: float | None,
                   solve_live: bool) -> tuple[list[BranchState], float | None]:
     """Bisect (states[-1].theta, hi) to 1e-8 relative; (states, theta_c).
 
@@ -850,25 +802,20 @@ def _bisect_death(levels: LevelSet, l: int, states: list[BranchState],
     is None, and states as given, when hi is None.  Past the fold theta_f
     the branch is dead, so a midpoint above theta_f (1 + 1e-9) is not
     solved, and with solve_live False neither is one below theta_f
-    (1 - 1e-9), which is alive; midpoints inside that band are.  The fold
-    is sought from the last grid state and, while it is not found, from
-    each new live midpoint.  Not for the ground seed: its defect has a
-    second minimum at the edge x = m* (margin 1 there), whose root can
-    outlive the fold and is then the one solved.
+    (1 - 1e-9), which is alive; midpoints inside that band are.  theta_f is
+    the walk's, sought from the last grid state; while it is None, the fold
+    is sought from each new live midpoint.  Not for the ground seed: its
+    defect has a second minimum at the edge x = m* (margin 1 there), whose
+    root can outlive the fold and is then the one solved.
     """
     if hi is None:
         return states, None
-    last = states[-1]
-    lo, hint = last.theta, last.m[l]
-    fold_from = last if l != levels.ground else None
-    theta_f = None
+    lo, hint = states[-1].theta, states[-1].m[l]
+    fold_from = None
     live: list[BranchState] = []
     while (hi - lo) > 1e-8 * hi:
         if fold_from is not None:
-            theta_f = _fold_theta(levels, fold_from)
-            if theta_f is not None and not lo < theta_f < hi:
-                theta_f = None
-            fold_from = None
+            theta_f, fold_from = _fold_between(levels, fold_from, hi), None
         mid = 0.5 * (lo + hi)
         if theta_f is not None and mid > theta_f * (1.0 + 1e-9):
             alive = False
@@ -895,14 +842,15 @@ def continue_branch(levels: LevelSet, l: int,
     """Track the branch over an increasing temperature grid.
 
     Off the ground seed, each grid state after the first comes from a
-    tangent predictor and a bordered Newton corrector (a cold solve where
-    the corrector fails), the walk branch_points_near takes too; the ground
-    seed is solved at every point, warm-started by the one before.  Grid
-    states must keep the branch's monotonicity (seed fraction falls, all
-    others rise).  A state is alive when it solves, is stable and has a
-    positive margin.  If the branch dies inside the grid, the gap after the
-    last live grid point is bisected to 1e-8 relative, solving every live
-    midpoint cold: theta_c is the last live temperature, and the live
+    tangent predictor and a bordered Newton corrector; where it fails, a
+    point past the fold of the last state is dead and any other is solved
+    cold (the walk branch_points_near takes too).  The ground seed is solved
+    at every point, warm-started by the one before.  Grid states must keep
+    the branch's monotonicity (seed fraction falls, all others rise).  A
+    state is alive when it solves, is stable and has a positive margin.  If
+    the branch dies inside the grid, the gap after the last live grid point
+    is bisected to 1e-8 relative, solving every live midpoint cold and none
+    past the fold: theta_c is the last live temperature, and the live
     bisection states follow the grid states in increasing theta.  Leading
     grid points where the cold solve fails are dropped, and the walk starts
     at the first that solves; BranchTerminated if none does.
@@ -1018,15 +966,16 @@ def branch_points_near(levels: LevelSet, l: int, theta_c: float,
     """The branch at theta_c - delta for each offset, by increasing theta.
 
     The grid walk of continue_branch: the lowest temperature solved cold,
-    the rest by its predictor-corrector.  BranchTerminated if one is dead.
+    the rest by its predictor-corrector.  InputError unless the offsets give
+    distinct positive temperatures; BranchTerminated if one is dead.
     """
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     for d in deltas:
         check_real(d, "offsets below theta_c", "positive")
-        check_real(theta_c - d, "theta", "positive")
-    thetas = theta_c - deltas
-    states, first_bad = _grid_states(levels, check_count(l, "seed level l"),
-                                     thetas)
+    thetas = check_grid(theta_c - deltas, "temperatures theta_c - offset",
+                        "positive")
+    states, first_bad, _ = _grid_states(levels, check_count(l, "seed level l"),
+                                        thetas)
     if states[0].theta > thetas[0]:  # the walk dropped the lowest offsets
         first_bad = float(thetas[0])
     if first_bad is not None:
@@ -1051,12 +1000,12 @@ def zeroth_order_certificate(levels: LevelSet, l: int) -> TransitionCertificate:
 
     Continues the seed-l branch over 48 geometric temperatures from 1e-3 to
     1 times theta_upper_bound (from the first of them at which it solves)
-    by the predictor-corrector of continue_branch,
-    and bisects the gap where it dies on the same schedule, to the same
-    theta_c; midpoints that the fold decides are not solved.  The free
-    energy at theta_c (the last live midpoint's, or one solve) is compared
-    with the ground solution there.  A positive jump is the zeroth-order signature: the free energy
-    itself, not just its derivatives, is discontinuous when the branch dies.
+    by the walk of continue_branch, and bisects the gap where it dies on the
+    same schedule, to the same theta_c; the points that the fold decides
+    are not solved.  The free energy at theta_c (the last live midpoint's,
+    or one solve) is compared with the ground solution there.  A positive
+    jump is the zeroth-order signature: the free energy itself, not just
+    its derivatives, is discontinuous when the branch dies.
     """
     l = check_count(l, "seed level l")
     return _certificate(levels, l, *_bisect_death(

@@ -56,8 +56,8 @@ def test_logsumexp_equals_scipy(data, shape, axis):
 # (xtol, rtol, maxiter) at the call sites, scipy's defaults, and budgets
 # short enough to run out
 _TOLERANCES = [
-    dict(xtol=1e-300, rtol=8.9e-16, maxiter=200),  # bose_gas._brent_phi00
-    dict(xtol=1e-300, rtol=8.9e-16),               # _brent_phi00's, default cap
+    dict(xtol=1e-300, rtol=8.9e-16, maxiter=200),  # bose_gas._low_roots
+    dict(xtol=1e-300, rtol=8.9e-16),               # _low_roots's, default cap
     dict(xtol=1e-15, rtol=8.9e-16),                # bose_gas._condensate_solution
     dict(rtol=8.9e-16, maxiter=200),               # condensation.n0_of_money
     dict(),
