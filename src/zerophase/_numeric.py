@@ -11,6 +11,8 @@ line an exhaustive float scan would pick, or marks the point for that scan.
 
 from __future__ import annotations
 
+import array
+import bisect
 import itertools
 import math
 import numbers
@@ -247,6 +249,10 @@ def linear_sampler(axes, values: np.ndarray):
     bounds_error=False, fill_value=None) for values that stack components
     after the grid axes: points outside the box extrapolate from the edge
     cell, and a NaN coordinate gives a NaN row through the weights.
+
+    sample.point(x) is sample(x)[0] for one point x of ndim floats, as a
+    list of the components in C order, computed in Python floats with the
+    same operations in the same order; the first call builds its tables.
     """
     grid = tuple(np.asarray(g, dtype=float) for g in axes)
     ndim = len(grid)
@@ -271,6 +277,36 @@ def linear_sampler(axes, values: np.ndarray):
             value = value + values[edge] * weight[vslice]
         return value.reshape(shape[:-1] + values.shape[ndim:])
 
+    tables = None
+
+    def point(x) -> list[float]:
+        nonlocal tables
+        if tables is None:
+            # (nodes, last cell, flat stride) per axis, the values in C
+            # order and the number of components
+            tables = ([(g.tolist(), g.size - 2, math.prod(values.shape[k + 1:]))
+                       for k, g in enumerate(grid)],
+                      array.array("d", np.asarray(values, dtype=float).tobytes()),
+                      math.prod(values.shape[ndim:]))
+        axis_tables, flat, size = tables
+        # searchsorted's cell, clipped; bisect_right also puts NaN past the end
+        corners = []
+        for (g, top, stride), xk in zip(axis_tables, x):
+            xk = float(xk)
+            i = min(max(bisect.bisect_right(g, xk) - 1, 0), top)
+            d = (xk - g[i]) / (g[i + 1] - g[i])
+            corners.append(((i * stride, 1. - d), ((i + 1) * stride, d)))
+        value = [0.] * size
+        for vertex in itertools.product(*corners):
+            base, weight = 0, 1.
+            for offset, w in vertex:
+                base += offset
+                weight = weight * w
+            for k in range(size):
+                value[k] = value[k] + flat[base + k] * weight
+        return value
+
+    sample.point = point
     return sample
 
 

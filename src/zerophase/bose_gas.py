@@ -501,7 +501,9 @@ def solve_branch(levels: LevelSet, theta: float, l: int,
     lambda_n - lambda_l + V <= 0) and BranchTerminated when the branch no
     longer has a solution at this temperature.
     """
-    check_real(theta, "theta", "positive")
+    # a numpy scalar would carry numpy's overflow warnings into the root
+    # polish, where Python floats give inf and the typed error
+    theta = float(check_real(theta, "theta", "positive"))
     l = check_count(l, "seed level l")
     if l >= levels.size:
         raise InputError("seed level out of range")

@@ -30,7 +30,8 @@ class EntropyField:
     """Scalar field sampled on a uniform rectangular grid (1-d or 2-d).
 
     The node coordinates origin + spacing * k of each axis must be finite
-    and strictly increasing in float.
+    and strictly increasing in float.  H is the field's own read-only copy,
+    so the (H, grad H) interpolants it caches per boundary stay its own.
     """
 
     origin: tuple
@@ -38,7 +39,7 @@ class EntropyField:
     H: np.ndarray
 
     def __post_init__(self) -> None:
-        H = np.asarray(self.H, dtype=float)
+        H = np.array(self.H, dtype=float)
         if H.ndim not in (1, 2):
             raise InputError("field must be 1-d or 2-d")
         if any(s < 3 for s in H.shape):
@@ -54,7 +55,9 @@ class EntropyField:
             check_real(s, "spacing", "positive")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
+        H.flags.writeable = False
         object.__setattr__(self, "H", H)
+        object.__setattr__(self, "_samplers", {})
         # in float the nodes can still overflow or collapse (origin 1e17,
         # spacing 1), and every distance would be wrong
         with np.errstate(over="ignore", invalid="ignore"):
@@ -62,6 +65,15 @@ class EntropyField:
                 if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
                     raise InputError("node coordinates of each axis must be "
                                      "finite and strictly increasing")
+
+    def __getstate__(self) -> dict:
+        # the cached interpolants are closures, which do not pickle; a copy
+        # builds its own
+        return {k: v for k, v in vars(self).items() if k != "_samplers"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state, _samplers={})
+        self.H.flags.writeable = False
 
     @property
     def ndim(self) -> int:
@@ -130,9 +142,15 @@ def _gradient_arrays(field: EntropyField, boundary: str) -> list:
 
 
 def _sampler(field: EntropyField, boundary: str):
-    """Linear interpolant of (H, dH/dx_1, ..., dH/dx_k): one call, one row."""
-    values = np.stack([field.H, *_gradient_arrays(field, boundary)], axis=-1)
-    return linear_sampler(field.axes(), values)
+    """Linear interpolant of (H, dH/dx_1, ..., dH/dx_k): one call, one row.
+
+    Built once per field and boundary.
+    """
+    sample = field._samplers.get(boundary)
+    if sample is None:
+        values = np.stack([field.H, *_gradient_arrays(field, boundary)], axis=-1)
+        sample = field._samplers[boundary] = linear_sampler(field.axes(), values)
+    return sample
 
 
 def _point_in_box(field: EntropyField, x: Sequence[float], name: str) -> np.ndarray:
@@ -163,26 +181,30 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
     Under the clamped boundary a step that would leave the box truncates the
     walk and sets the exited flag; the periodic boundary wraps instead.
     """
-    x = _point_in_box(field, x0, "x0")
+    x = _point_in_box(field, x0, "x0").tolist()
     lo, hi = field.box()
-    sample = _sampler(field, config.boundary)
-    row = sample(x)[0]
-    pts = [x.copy()]
-    hv = [float(row[0])]
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    point = _sampler(field, config.boundary).point
+    # the walk in Python floats, with the float operations of the array form
+    # x + dt * c * grad H
+    row = point(x)
+    pts = [x]
+    hv = [row[0]]
     exited = False
     for _ in range(config.steps):
         c = check_real(float(config.c_of_H(hv[-1])), "c_of_H on the field's range",
                        "positive")
-        x_new = x + config.dt * c * row[1:]
+        step = float(config.dt * c)
+        x_new = [a + step * g for a, g in zip(x, row[1:])]
         if config.boundary == "periodic":
-            x_new = _wrap(x_new, lo, hi)
-        elif np.any(x_new < lo) or np.any(x_new > hi):
+            x_new = _wrap(np.array(x_new), lo, hi).tolist()
+        elif any(a < a_lo or a > a_hi for a, (a_lo, a_hi) in zip(x_new, bounds)):
             exited = True
             break
         x = x_new
-        row = sample(x)[0]
-        pts.append(x.copy())
-        hv.append(float(row[0]))
+        row = point(x)
+        pts.append(x)
+        hv.append(row[0])
     return Trajectory(points=np.array(pts), H_values=np.array(hv),
                       exited=exited)
 
@@ -434,9 +456,9 @@ def calibrate_c(dlambda_dt: float, field: EntropyField,
     check_real(dlambda_dt, "dlambda_dt")
     if boundary not in _BOUNDARIES:
         raise InputError(f"boundary must be one of {_BOUNDARIES}")
-    xv = _point_in_box(field, x, "x")
-    gradH = _sampler(field, boundary)(xv)[0, 1:]
-    gradL = _sampler(price_field, boundary)(xv)[0, 1:]
+    xv = _point_in_box(field, x, "x").tolist()
+    gradH = np.array(_sampler(field, boundary).point(xv)[1:])
+    gradL = np.array(_sampler(price_field, boundary).point(xv)[1:])
     denom = float(gradL @ gradH)
     if abs(denom) < 1e-14:
         raise InputError("price insensitive to entropy gradient at x")

@@ -918,6 +918,20 @@ def test_fold_newton_leaks_no_warning(draw, theta_c):
             assert zeroth_order_certificate(lv, l).theta_c == theta_c
 
 
+# the ground solve of draw 1082 near the cold end of its certificate grid
+# fails its residual check; a numpy scalar theta once leaked an overflow
+# warning from the root polish there instead of the typed error
+@pytest.mark.parametrize("as_theta", [float, np.float64])
+def test_solve_branch_numpy_theta_raises_the_typed_error(as_theta):
+    lv, _ = _law_r(1082)
+    theta = as_theta(0.0018147 * theta_upper_bound(lv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="branch residual 6.266e-03 "
+                                              "exceeds tolerance"):
+            solve_branch(lv, theta, lv.ground)
+
+
 # a seeded sample (default_rng(22)) of the 144 draws among the first 400
 # whose certificate raised "branch has no solution on the given grid" when
 # the walk required the first grid point to solve, and the three of them

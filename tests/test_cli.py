@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: parsing, config, outputs, exit codes."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -112,6 +113,30 @@ def test_flow_closed_form_boundary(tmp_path, capsys):
     first = snap.read_text().splitlines()[1].split(",")
     # H_t(-1) = -1/(1+2t) = -0.5 for the parabola
     np.testing.assert_allclose(float(first[2]), -0.5, atol=1e-3)
+
+
+# the trajectory CSV of this command as the numpy-array walk wrote it,
+# before the walk moved to Python floats
+_FLOW_X0_TRAJECTORY_SHA256 = (
+    "1d311e488934daf04cfac798803a688f1c68fb5eb3d5e1edc393db5d9a75fd45")
+
+
+def test_flow_trajectory_csv_is_unchanged(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    code, _, err = run_cli(capsys, "flow", "--grid=-1,1,101",
+                           "--h0-poly", "0,0.3,-1", "--t", "0.5",
+                           "--mode", "max", "--x0", "-0.7",
+                           "--traj-out", str(traj))
+    assert code == 0
+    # the snapshot CSV on stdout pushes the summary to stderr
+    assert err == ("flow: H range [-0.6388, 0.0224], "
+                   "trajectory exited = false\n")
+    lines = traj.read_text().splitlines()
+    assert len(lines) == 102
+    assert lines[:3] == ["step,x,H", "0,-0.7,-0.7", "1,-0.6983,-0.697144"]
+    assert lines[-1] == "100,-0.545781783985,-0.461694497579"
+    assert (hashlib.sha256(traj.read_bytes()).hexdigest()
+            == _FLOW_X0_TRAJECTORY_SHA256)
 
 
 def test_debt_ledger_file(tmp_path, capsys):

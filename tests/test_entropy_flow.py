@@ -1,6 +1,8 @@
 """Entropy fields: envelopes, ascent trajectories, price transport."""
 
+import copy
 import math
+import pickle
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.special import logsumexp
 
 from zerophase import entropy_flow
+from zerophase._numeric import check_real, linear_sampler
 from zerophase.entropy_flow import (_ENVELOPE_MIN_NODES, EntropyField, FlowConfig,
                                     _axis_envelope, _gradient_arrays,
                                     ascent_trajectory, calibrate_c,
@@ -554,3 +557,129 @@ def test_calibration_matches_per_point_oracle(ndim, boundary):
                 assert got == want
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the walk in Python floats against the numpy walk through the vectorized
+# sampler, bit for bit
+
+
+def _vectorized_walk(field, config, x0):
+    """(points, H values, exited): one numpy step at a time."""
+    values = np.stack([field.H, *_gradient_arrays(field, config.boundary)],
+                      axis=-1)
+    sample = linear_sampler(field.axes(), values)
+    lo, hi = field.box()
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    row = sample(x)[0]
+    pts, hv, exited = [x], [float(row[0])], False
+    for _ in range(config.steps):
+        c = check_real(float(config.c_of_H(hv[-1])),
+                       "c_of_H on the field's range", "positive")
+        x_new = x + config.dt * c * row[1:]
+        if config.boundary == "periodic":
+            x_new = lo + np.mod(x_new - lo, hi - lo)
+        elif np.any(x_new < lo) or np.any(x_new > hi):
+            exited = True
+            break
+        x = x_new
+        row = sample(x)[0]
+        pts.append(x)
+        hv.append(float(row[0]))
+    return np.array(pts), np.array(hv), exited
+
+
+# (boundary, dt, first coordinate of x0): the long walks take steps large
+# enough that a product rounded another way moves the point
+_WALKS = {"clamped-exit": ("clamped", 2e-2, -0.6),
+          "clamped-climb": ("clamped", 0.1, -0.3),
+          "periodic-wrap": ("periodic", 0.1, -0.9),
+          "first-step-exit": ("clamped", 0.5, -0.99)}
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("case", list(_WALKS))
+def test_float_walk_equals_the_vectorized_walk(ndim, case):
+    field, _, _ = _transport_case(ndim)
+    boundary, dt, x_first = _WALKS[case]
+    config = FlowConfig(c_of_H=_speed, dt=dt, steps=150, boundary=boundary)
+    x0 = (x_first, 0.3)[:ndim]
+    traj = ascent_trajectory(field, config, x0)
+    pts, hv, exited = _vectorized_walk(field, config, x0)
+    assert traj.points.shape == pts.shape and np.array_equal(traj.points, pts)
+    assert np.array_equal(traj.H_values, hv)
+    assert traj.exited == exited
+    if case == "clamped-exit":
+        assert exited and 10 < len(pts) < config.steps + 1
+    elif case == "first-step-exit":
+        assert exited and len(pts) == 1
+    else:
+        assert not exited and len(pts) == config.steps + 1
+    if case == "periodic-wrap":
+        assert np.diff(pts[:, 0]).max() > 1.5
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_float_walk_stops_where_the_speed_gate_fails(ndim):
+    field, _, x0 = _transport_case(ndim)
+    seen = []
+    for walk in (ascent_trajectory, _vectorized_walk):
+        heights = []
+
+        def c_of_H(h, heights=heights):
+            heights.append(h)
+            return _speed(h) if len(heights) < 30 else 0.0
+
+        config = FlowConfig(c_of_H=c_of_H, dt=1e-2, steps=100,
+                            boundary="periodic")
+        with pytest.raises(InputError, match="c_of_H"):
+            walk(field, config, x0)
+        seen.append(heights)
+    # the same heights, bit for bit, up to the failing call
+    assert len(seen[0]) == 30 and seen[0] == seen[1]
+
+
+def test_field_keeps_its_own_read_only_copy():
+    base, (price0, _), _ = _transport_case(2)
+    a, p = base.H.copy(), price0.H.copy()
+    field = EntropyField(base.origin, base.spacing, a)
+    price = EntropyField(base.origin, base.spacing, p)
+    assert field.H is not a and not field.H.flags.writeable
+    with pytest.raises(ValueError):
+        field.H[0, 0] = 1.0
+
+    def outputs(f, pf, boundary):
+        config = FlowConfig(c_of_H=_speed, dt=2e-2, steps=150,
+                            boundary=boundary)
+        traj = ascent_trajectory(f, config, (-0.9, 0.3))
+        return (calibrate_c(0.3, f, pf, (0.3, -0.2), boundary),
+                traj.points, traj.H_values, traj.exited)
+
+    # the clamped interpolants are cached before the caller's arrays change,
+    # the periodic ones after
+    outputs(field, price, "clamped")
+    a *= -1.0
+    p += np.linspace(0.0, 1.0, p.size).reshape(p.shape)
+    assert np.array_equal(field.H, base.H) and np.array_equal(price.H, price0.H)
+    for boundary in ("clamped", "periodic"):
+        got = outputs(field, price, boundary)
+        want = outputs(base, price0, boundary)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    samplers = [entropy_flow._sampler(field, b) for b in ("clamped", "periodic")]
+    assert samplers[0] is not samplers[1]
+    assert samplers == [entropy_flow._sampler(field, b)
+                        for b in ("clamped", "periodic")]
+
+
+def test_field_copies_keep_read_only_values_and_their_own_cache():
+    field, _, x0 = _transport_case(2)
+    config = FlowConfig(c_of_H=_speed, dt=0.1, steps=150)
+    want = ascent_trajectory(field, config, x0)
+    for dup in (pickle.loads(pickle.dumps(field)), copy.copy(field),
+                copy.deepcopy(field)):
+        assert not dup.H.flags.writeable
+        assert np.array_equal(dup.H, field.H)
+        got = ascent_trajectory(dup, config, x0)
+        assert np.array_equal(got.points, want.points)
+        assert (entropy_flow._sampler(dup, "clamped")
+                is not entropy_flow._sampler(field, "clamped"))

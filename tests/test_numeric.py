@@ -6,6 +6,7 @@ routine it replaces returns, bit for bit.  The envelope's oracles are the
 exhaustive float argmin and exact rational arithmetic.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -167,6 +168,18 @@ def test_linear_sampler_equals_scipy(data, ndim):
             got, want = sample(xi), rgi(xi)
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
+    corners = np.array(list(itertools.product(*[(g[0], g[-1]) for g in axes])))
+    _check_point_path(sample, np.vstack([pts, corners]))
+
+
+def _check_point_path(sample, pts):
+    # the one-point path in Python floats gives the vectorized row's bits
+    for p in pts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = sample(p)[0]
+        got = sample.point(p.tolist())
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(np.array(got), want, equal_nan=True)
 
 
 def test_linear_sampler_subnormal_cell_gives_scipys_nan_row():
@@ -178,9 +191,11 @@ def test_linear_sampler_subnormal_cell_gives_scipys_nan_row():
     with np.errstate(over="ignore", invalid="ignore"):
         want = RegularGridInterpolator(axes, values, method="linear",
                                        bounds_error=False, fill_value=None)(pts)
-        got = linear_sampler(axes, values)(pts)
+        sample = linear_sampler(axes, values)
+        got = sample(pts)
     assert np.isnan(got[0]).all()
     assert np.array_equal(got, want, equal_nan=True)
+    _check_point_path(sample, pts)
 
 
 # ---------------------------------------------------------------------------
