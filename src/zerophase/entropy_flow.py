@@ -11,7 +11,10 @@ stencil error.  Price observables ride along ascent trajectories.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -162,11 +165,6 @@ def _point_in_box(field: EntropyField, x: Sequence[float], name: str) -> np.ndar
     return x
 
 
-def _wrap(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    span = hi - lo
-    return lo + np.mod(x - lo, span)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     points: np.ndarray
@@ -184,9 +182,11 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
     x = _point_in_box(field, x0, "x0").tolist()
     lo, hi = field.box()
     bounds = list(zip(lo.tolist(), hi.tolist()))
+    spans = (hi - lo).tolist()
     point = _sampler(field, config.boundary).point
     # the walk in Python floats, with the float operations of the array form
-    # x + dt * c * grad H
+    # x + dt * c * grad H, wrapped as lo + np.mod(x - lo, hi - lo): float %
+    # takes np.mod's fmod and sign adjustment
     row = point(x)
     pts = [x]
     hv = [row[0]]
@@ -197,7 +197,8 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
         step = float(config.dt * c)
         x_new = [a + step * g for a, g in zip(x, row[1:])]
         if config.boundary == "periodic":
-            x_new = _wrap(np.array(x_new), lo, hi).tolist()
+            x_new = [a_lo + (a - a_lo) % span
+                     for a, (a_lo, _), span in zip(x_new, bounds, spans)]
         elif any(a < a_lo or a > a_hi for a, (a_lo, a_hi) in zip(x_new, bounds)):
             exited = True
             break
@@ -239,6 +240,95 @@ _ENVELOPE_MIN_NODES = 512
 # a core's 2 MB L2; the sweep that chose it is in BENCH_blocks.json.
 _SCAN_BLOCK = 2 ** 16
 
+# A scan of at least _SPLIT_MIN_BLOCKS blocks splits them between the
+# calling thread and one worker thread, when the process may run on two
+# CPUs; numpy releases the GIL inside the block's ufuncs and reductions.
+# The 4001-node 1-d axes have 251 blocks and the 2-d heat residual's stacked
+# second axis 8.  A 61-node smoothing or envelope axis has 4 and stays
+# serial: split, it ran 12-28% slower when the host gave the second CPU no
+# throughput, for a gain of about 1 ms when it did (BENCH_threads.json).
+_SPLIT_MIN_BLOCKS = 8
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# scan threads, the caller included
+_SCAN_THREADS = min(2, _available_cpus())
+
+
+class _Half:
+    """The worker's half of a split scan, run in the caller's context, so
+    that the caller's np.errstate holds in both halves."""
+
+    def __init__(self, fn: Callable, arg) -> None:
+        self.context = contextvars.copy_context()
+        self.fn, self.arg = fn, arg
+        self.done = threading.Event()
+        self.value = self.error = None
+
+    def __call__(self) -> None:
+        try:
+            self.value = self.context.run(self.fn, self.arg)
+        except BaseException as exc:  # the caller re-raises it
+            self.error = exc
+        finally:
+            self.done.set()
+
+
+# The one scan worker's job queue, made on first use.  The worker never
+# submits work of its own, so concurrent callers just queue.
+_worker_jobs = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    # a forked child has none of its parent's threads: it starts its own
+    # worker on first use
+    global _worker_jobs, _worker_lock
+    _worker_jobs, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()
+
+
+def _worker_queue():
+    global _worker_jobs
+    with _worker_lock:
+        if _worker_jobs is None:
+            import queue
+            _worker_jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_worker_jobs,), daemon=True,
+                             name="zerophase-scan").start()
+        return _worker_jobs
+
+
+def _split(scan: Callable, starts: range) -> list:
+    """scan of the first half of starts on this thread, the second half on
+    the worker, concatenated: scan(starts)."""
+    half = (len(starts) + 1) // 2
+    job = _Half(scan, starts[half:])
+    _worker_queue().put(job)
+    try:
+        head = scan(starts[:half])
+    finally:
+        # the worker's half never outlives the call, not even one whose
+        # own half raised
+        job.done.wait()
+    if job.error is not None:
+        raise job.error
+    return head + job.value
+
 
 def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, reduce: Callable,
                xi: np.ndarray | None = None) -> np.ndarray:
@@ -254,7 +344,8 @@ def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, reduce: Callable,
     when every block of a 2-d field has one row, their concatenation takes
     that layout and the next axis sums its rows in another order.  Every
     output row is reduced on its own, over a row laid out as at any other
-    block size, so the result does not depend on the block size.
+    block size, so the result depends neither on the block size nor on the
+    thread that reduced the block.
 
     reduce should let numpy allocate its one block of terms, from the first
     operation that broadcasts v against sq, and finish the block in place
@@ -265,11 +356,20 @@ def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, reduce: Callable,
     xi = x if xi is None else xi
     Vm = np.moveaxis(V, axis, -1)[..., None, :]
     rows = max(2, _SCAN_BLOCK // Vm.size)
-    parts = []
-    for s in range(0, xi.size, rows):
-        sq = xi[s:s + rows, None] - x
-        sq *= sq
-        parts.append(reduce(Vm, sq))
+
+    def scan(starts: range) -> list:
+        parts = []
+        for s in starts:
+            sq = xi[s:s + rows, None] - x
+            sq *= sq
+            parts.append(reduce(Vm, sq))
+        return parts
+
+    starts = range(0, xi.size, rows)
+    if _SCAN_THREADS > 1 and len(starts) >= _SPLIT_MIN_BLOCKS:
+        parts = _split(scan, starts)
+    else:
+        parts = scan(starts)
     return np.moveaxis(np.concatenate(parts, axis=-1), -1, axis)
 
 

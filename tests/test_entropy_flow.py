@@ -2,7 +2,14 @@
 
 import copy
 import math
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import threading
+import time
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -259,21 +266,224 @@ def test_multi_chunk_scan_equals_pairwise_oracle():
     assert got["heat"] == want["heat"]
 
 
-@pytest.mark.parametrize("shape", [(1000,), (150, 120)])
+def _count_splits(monkeypatch) -> list:
+    """Record the block count of every scan split between two threads."""
+    splits = []
+    split = entropy_flow._split
+
+    def recorded(scan, starts):
+        splits.append(len(starts))
+        return split(scan, starts)
+
+    monkeypatch.setattr(entropy_flow, "_split", recorded)
+    return splits
+
+
+# shape -> (terms of one output row, output rows) of the axis split below:
+# the 1-d axis, and the 2-d heat residual's second axis, which scans both
+# stacked components, u and u_t
+_SPLIT_AXES = {(1000,): (1000, 1000), (150, 120): (2 * 150 * 120, 120)}
+
+
+@pytest.mark.parametrize("shape", list(_SPLIT_AXES))
 def test_scans_do_not_depend_on_the_block_size(monkeypatch, shape):
-    """The smallest blocks (two output rows), and one block for a whole
-    axis, give the bits of the default blocks, which split every axis here.
-    On the 2-d field the heat residual's second axis scans both stacked
-    components, u and u_t, in one block."""
+    """The smallest blocks (two output rows), one block for a whole axis,
+    and blocks that split the axis below in an odd and an even count, on
+    one thread and on two, give the bits of the default blocks on one
+    thread, which split every axis here."""
     H = np.random.default_rng(11).uniform(-5.0, 5.0, shape)
     field0 = EntropyField((-0.4,) * H.ndim, (0.03,) * H.ndim, H)
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 1)
     want = _transforms(field0, 0.05)
-    for block in (1, 10 ** 9):
-        monkeypatch.setattr(entropy_flow, "_SCAN_BLOCK", block)
-        got = _transforms(field0, 0.05)
-        for key in ("max", "min", "smooth"):
-            assert np.array_equal(got[key], want[key]), (block, key)
-        assert got["heat"] == want["heat"], block
+    terms, nodes = _SPLIT_AXES[shape]
+    blocks = [1, 10 ** 9]
+    for count in (9, 10):
+        rows = -(-nodes // count)
+        assert -(-nodes // rows) == count
+        blocks.append(rows * terms)
+    for threads in (1, 2):
+        monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", threads)
+        splits = _count_splits(monkeypatch)
+        for block in blocks:
+            monkeypatch.setattr(entropy_flow, "_SCAN_BLOCK", block)
+            got = _transforms(field0, 0.05)
+            for key in ("max", "min", "smooth"):
+                assert np.array_equal(got[key], want[key]), (threads, block, key)
+            assert got["heat"] == want["heat"], (threads, block)
+        if threads == 1:
+            assert splits == []
+        else:
+            # the axis above splits its odd and its even block count
+            assert {9, 10} <= set(splits)
+
+
+def _bench_field_1d(seed: int) -> EntropyField:
+    # the 4001-node 1-d field of the benchmark's entropy ops
+    a = np.random.default_rng(seed).uniform(-0.3, 0.3, 5)
+    return EntropyField.from_function(
+        lambda x: (-0.5 * x * x + a[0] * np.sin(2.0 * x + a[1])
+                   + a[2] * np.cos(3.0 * x) + a[3] * x),
+        (-1.0,), (2.0 / 4000,), (4001,))
+
+
+def test_two_threads_change_no_bit_of_the_bench_field(monkeypatch):
+    field0 = _bench_field_1d(0)
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", threads)
+        splits = _count_splits(monkeypatch)
+        runs.append((log_gaussian_smoothing(field0, 0.1).H,
+                     heat_semigroup_residual(field0, 0.1)))
+        # 251 blocks of 16 output rows each
+        assert splits == ([] if threads == 1 else [251, 251])
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
+def test_one_scan_thread_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 1)
+    monkeypatch.setattr(entropy_flow, "_worker_jobs", None)
+    before = threading.active_count()
+    log_gaussian_smoothing(_bench_field_1d(1), 0.1)
+    assert entropy_flow._worker_jobs is None
+    assert threading.active_count() == before
+
+
+def _run_python(code: str) -> None:
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def test_import_loads_no_executor_and_starts_no_thread():
+    _run_python(
+        "import sys, threading\n"
+        "import zerophase.cli\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'queue' not in sys.modules\n"
+        "assert threading.active_count() == 1\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no affinity mask on this platform")
+def test_one_cpu_starts_no_thread():
+    _run_python(
+        "import os, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import numpy as np\n"
+        "from zerophase import entropy_flow as ef\n"
+        "assert ef._SCAN_THREADS == 1\n"
+        "f = ef.EntropyField((-1.0,), (5e-4,), np.linspace(0.0, 1.0, 4001))\n"
+        "ef.log_gaussian_smoothing(f, 0.1)\n"
+        "assert threading.active_count() == 1\n")
+
+
+def test_concurrent_callers_share_one_worker():
+    """Four callers race to start the worker and split their scans at
+    once, with the interpreter switching threads every 10 us: one worker
+    thread serves them all, and each gets the one-thread bits."""
+    _run_python("""
+import sys, threading
+import numpy as np
+from zerophase import entropy_flow as ef
+ef._SCAN_THREADS = 1
+fields = [ef.EntropyField((-1.0,), (5e-4,),
+                          np.random.default_rng(s).uniform(-1.0, 1.0, 4001))
+          for s in range(4)]
+want = [ef.log_gaussian_smoothing(f, 0.1).H for f in fields]
+assert threading.active_count() == 1
+ef._SCAN_THREADS = 2
+got = [None] * 4
+def call(i):
+    got[i] = ef.log_gaussian_smoothing(fields[i], 0.1).H
+callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)
+try:
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(60)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(t.is_alive() for t in callers)
+assert all(np.array_equal(g, w) for g, w in zip(got, want))
+assert [t.name for t in threading.enumerate()].count("zerophase-scan") == 1
+assert threading.active_count() == 2
+""")
+
+
+def _scan_in_child(field0: EntropyField, want: np.ndarray) -> None:
+    assert entropy_flow._worker_jobs is None
+    assert np.array_equal(log_gaussian_smoothing(field0, 0.1).H, want)
+    assert entropy_flow._worker_jobs is not None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    """A child forked after its parent split a scan has no worker thread;
+    its own split scan must start one, not wait on the parent's."""
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
+    field0 = _bench_field_1d(2)
+    want = log_gaussian_smoothing(field0, 0.1).H
+    assert entropy_flow._worker_jobs is not None
+    child = multiprocessing.get_context("fork").Process(
+        target=_scan_in_child, args=(field0, want))
+    with warnings.catch_warnings():
+        # newer Pythons warn that forking a process with threads is unsafe
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung in its split scan")
+    assert child.exitcode == 0
+
+
+def _two_halves(monkeypatch):
+    """A scan of 20 two-row blocks, split 10/10, as (V, x, xi)."""
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
+    monkeypatch.setattr(entropy_flow, "_SCAN_BLOCK", 200)
+    x = np.linspace(0.0, 1.0, 100)
+    return np.zeros(100), x, x[:40].copy()
+
+
+def test_split_scan_keeps_the_callers_errstate(monkeypatch):
+    V, x, xi = _two_halves(monkeypatch)
+    xi[20:] = 1e5  # only the worker's half overflows
+
+    def reduce(v, sq):
+        return np.sum(v + np.multiply(sq, 1e300, out=sq), axis=-1)
+
+    for threads in (1, 2):
+        monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", threads)
+        splits = _count_splits(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            entropy_flow._axis_scan(V, x, -1, reduce, xi)
+        assert splits == ([] if threads == 1 else [20])
+
+
+def test_split_scan_raises_the_first_error_after_both_halves(monkeypatch):
+    V, x, xi = _two_halves(monkeypatch)
+    caller = threading.get_ident()
+    for failing in ("caller", "worker"):
+        finished = []
+
+        def reduce(v, sq):
+            mine = "caller" if threading.get_ident() == caller else "worker"
+            if mine == failing:
+                raise ValueError(mine)
+            time.sleep(0.005)
+            finished.append(mine)
+            return np.sum(v + sq, axis=-1)
+
+        with pytest.raises(ValueError, match=failing):
+            entropy_flow._axis_scan(V, x, -1, reduce, xi)
+        if failing == "caller":
+            # the call returned only after the worker's 10 blocks
+            assert finished == ["worker"] * 10
+        else:
+            assert finished.count("caller") == 10
 
 
 _values = st.floats(-5.0, 5.0)
@@ -617,6 +827,30 @@ def test_float_walk_equals_the_vectorized_walk(ndim, case):
         assert not exited and len(pts) == config.steps + 1
     if case == "periodic-wrap":
         assert np.diff(pts[:, 0]).max() > 1.5
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_float_wrap_equals_the_numpy_wrap(ndim):
+    """On a dyadic grid a linear field's interior slopes, and so the steps,
+    are exact: the walk from 0.5 reaches hi = 1 exactly, where it wraps to
+    lo, and in 2-d the second coordinate walks down onto lo.  The periodic
+    slope at lo, (H[1] - H[-1])/(2h) = -7.75, then steps the first
+    coordinate to -2.9375, which wraps from below to -0.9375."""
+    n = 33
+    grid = ((-1.0,) * ndim, (2.0 / (n - 1),) * ndim, (n,) * ndim)
+    if ndim == 1:
+        field = EntropyField.from_function(lambda x: 0.5 * x, *grid)
+    else:
+        field = EntropyField.from_function(lambda x, y: 0.5 * x - 0.5 * y,
+                                           *grid)
+    config = FlowConfig(dt=0.25, steps=60, boundary="periodic")
+    x0 = (0.5, -0.5)[:ndim]
+    traj = ascent_trajectory(field, config, x0)
+    pts, hv, exited = _vectorized_walk(field, config, x0)
+    assert np.array_equal(traj.points, pts) and np.array_equal(traj.H_values, hv)
+    assert not traj.exited and not exited
+    assert np.array_equal(pts[4], (-1.0, -1.0)[:ndim])
+    assert pts[5, 0] == -0.9375
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
