@@ -219,26 +219,50 @@ def logsumexp(a, axis: int | None = None):
     One temporary the size of a: SciPy's exp(where(i_max, -inf, a) - a_max)
     is exp(a - a_max) with its max terms set to 0, except where a_max is
     -inf (0 here, NaN there), and there both sums lead to the fallback.
+
+    On C-contiguous rows (axis None or -1) one argmax per row names a max
+    term, which is zeroed.  Another term at 1 is a tie with it, or one whose
+    exp rounded to 1; only then are the ties counted and zeroed, as they
+    always are on a strided axis, which argmax would first copy.  A row
+    without one has m = 1, where s / m is s and ln m is 0.0, so both forms
+    give the same bits.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
+    axes = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        i_max = a == a_max
-        m = np.count_nonzero(i_max, axis=axis, keepdims=True)
-        d = np.subtract(a, a_max)
-        np.exp(d, out=d)
-        np.copyto(d, 0.0, where=i_max)
-        s = np.sum(d, axis=axis, keepdims=True, dtype=float)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+        if a.size and a.flags.c_contiguous and axis in (None, -1):
+            # flat index of each row's first max term
+            n = a.size if axis is None else a.shape[-1]
+            top = np.argmax(a.reshape(-1, n), axis=1)
+            top += np.arange(0, a.size, n)
+            a_max = np.take(a, top).reshape(
+                (1,) * a.ndim if axis is None else a.shape[:-1] + (1,))
+            d = np.subtract(a, a_max)
+            np.exp(d, out=d)
+            np.put(d, top, 0.0)
+            # a NaN max makes the row NaN here, and the fallback takes it
+            single = not (np.max(d, axis=axes, keepdims=True) >= 1.0).any()
+        else:
+            a_max = np.max(a, axis=axes, keepdims=True)
+            d = np.subtract(a, a_max)
+            np.exp(d, out=d)
+            single = False
+        if single:
+            out = np.log1p(np.sum(d, axis=axes, keepdims=True, dtype=float)) + a_max
+        else:
+            i_max = a == a_max
+            m = np.count_nonzero(i_max, axis=axes, keepdims=True)
+            np.copyto(d, 0.0, where=i_max)
+            s = np.sum(d, axis=axes, keepdims=True, dtype=float)
+            s = np.where(s == 0, s, s / m)
+            out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
     if not finite.all():
         # SciPy evaluates this fallback everywhere; only these rows use it
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
         out = np.where(finite, out, direct)
-    out = np.squeeze(out, axis=axis)
+    out = np.squeeze(out, axis=axes)
     return out[()] if out.ndim == 0 else out
 
 

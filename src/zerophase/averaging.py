@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -223,6 +224,12 @@ def _canonical_witness(k: tuple[int, ...]) -> tuple[int, ...]:
     return k
 
 
+# The vectors depend on the shell and the chunk alone, never on the spectrum,
+# so repeated checks and probes reuse them.  A chunk holds at most 1e6
+# entries before filtering, 8 MB, so the cache holds at most 64 MB; the
+# seven chunks of a check at l = 6, bound 4 and a probe at l = 4, bound 3
+# all fit.
+@lru_cache(maxsize=8)
 def _shell_vectors(shell: int, l: int, start: int, stop: int) -> np.ndarray:
     """Sum-zero vectors of one shell from prefixes start..stop-1, in order.
 
@@ -239,7 +246,9 @@ def _shell_vectors(shell: int, l: int, start: int, stop: int) -> np.ndarray:
     k[:, :-1] -= shell
     k[:, -1] = -k[:, :-1].sum(axis=1)
     k = k[np.abs(k[:, -1]) <= shell]
-    return k[np.abs(k).max(axis=1) == shell]
+    k = k[np.abs(k).max(axis=1) == shell]
+    k.setflags(write=False)
+    return k
 
 
 def check_resonance_free(spectrum: Spectrum | Sequence[float], bound: int) -> ResonanceReport:

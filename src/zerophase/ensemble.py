@@ -26,7 +26,6 @@ definitions literally and certifies the class reduction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -52,19 +51,24 @@ def _class_layout(M: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (occupations, log_sizes) with occupations of shape (n_classes, l)
     and log_sizes[i] = ln(M! / prod_j M_ij!).
     """
-    if l == 1:
-        occ = np.array([[M]], dtype=np.int64)
-    else:
-        # stars and bars: l - 1 bars among M + l - 1 slots, in the
-        # lexicographic order of combinations; the gaps between bars are
-        # the occupations, in lexicographic order too
-        slots = M + l - 1
-        bars = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(slots), l - 1)),
-            dtype=np.int64, count=math.comb(slots, l - 1) * (l - 1)).reshape(-1, l - 1)
-        edges = np.empty((bars.shape[0], l + 1), dtype=np.int64)
-        edges[:, 0], edges[:, 1:-1], edges[:, -1] = -1, bars, slots
-        occ = np.diff(edges, axis=1) - 1
+    # one column at a time: each prefix of the first j entries leaves rest,
+    # and its rows take the next entry 0..rest in order.  A prefix of j + 1
+    # entries heads the comb(rest + p - 1, p - 1) rows of its tails over the
+    # p = l - 1 - j levels after it, so its entry repeats that many times.
+    occ = np.empty((math.comb(M + l - 1, l - 1), l), dtype=np.int64)
+    rest = np.array([M], dtype=np.int64)
+    for j in range(l - 1):
+        counts = rest + 1
+        entry = np.arange(counts.sum(), dtype=np.int64)
+        entry -= np.repeat(np.cumsum(counts) - counts, counts)
+        rest = np.repeat(rest, counts)
+        rest -= entry
+        heads = np.ones_like(rest)
+        for i in range(1, l - 1 - j):
+            heads *= rest + i
+            heads //= i
+        occ[:, j] = np.repeat(entry, heads)
+    occ[:, -1] = rest
     lf = log_factorial(np.arange(M + 1))
     log_sizes = lf[M] - lf[occ].sum(axis=1)
     occ.setflags(write=False)

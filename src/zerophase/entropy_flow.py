@@ -179,6 +179,12 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
     Under the clamped boundary a step that would leave the box truncates the
     walk and sets the exited flag; the periodic boundary wraps instead.
     """
+    return _walk(field, config, x0)[0]
+
+
+def _walk(field: EntropyField, config: FlowConfig,
+          x0: Sequence[float]) -> tuple[Trajectory, np.ndarray]:
+    """ascent_trajectory, and the sampled rows (H, grad H) of its points."""
     x = _point_in_box(field, x0, "x0").tolist()
     lo, hi = field.box()
     bounds = list(zip(lo.tolist(), hi.tolist()))
@@ -188,11 +194,11 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
     # x + dt * c * grad H, wrapped as lo + np.mod(x - lo, hi - lo): float %
     # takes np.mod's fmod and sign adjustment
     row = point(x)
-    pts = [x]
-    hv = [row[0]]
+    # points and rows, each in one flat list
+    pts, rows = list(x), list(row)
     exited = False
     for _ in range(config.steps):
-        c = check_real(float(config.c_of_H(hv[-1])), "c_of_H on the field's range",
+        c = check_real(float(config.c_of_H(row[0])), "c_of_H on the field's range",
                        "positive")
         step = float(config.dt * c)
         x_new = [a + step * g for a, g in zip(x, row[1:])]
@@ -204,10 +210,12 @@ def ascent_trajectory(field: EntropyField, config: FlowConfig,
             break
         x = x_new
         row = point(x)
-        pts.append(x)
-        hv.append(row[0])
-    return Trajectory(points=np.array(pts), H_values=np.array(hv),
-                      exited=exited)
+        pts += x
+        rows += row
+    rows = np.array(rows).reshape(-1, len(row))
+    traj = Trajectory(points=np.array(pts).reshape(-1, len(x)),
+                      H_values=rows[:, 0].copy(), exited=exited)
+    return traj, rows
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +537,10 @@ def price_transport(field: EntropyField, config: FlowConfig,
         if pf.shape != field.shape or pf.origin != field.origin \
                 or pf.spacing != field.spacing:
             raise InputError("price fields must share the entropy field's grid")
-    traj = ascent_trajectory(field, config, x0)
+    # the walk's rows are the vectorized sampler's at its points, bit for bit
+    traj, rows = _walk(field, config, x0)
     pts = traj.points
-    grad_h = _sampler(field, config.boundary)(pts)[:, 1:]
+    grad_h = rows[:, 1:]
     # (price, point, [lambda, grad lambda]); reshape keeps an empty list 3-d
     prices = np.array([_sampler(pf, config.boundary)(pts)
                        for pf in price_fields]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerophase import averaging
 from zerophase.averaging import (_RELATION_RTOL, AveragingKernel,
                                  ResonanceReport, Spectrum, WeightVector,
                                  _canonical_witness, certify_resonance_free,
@@ -286,6 +287,29 @@ def test_resonance_witness_beyond_the_first_block():
         report = check_resonance_free(lam, bound)
         assert report.holds is (bound == 3)
     assert report.witness == (0, 1, -4, 2, 0, 3, -2)
+
+
+def test_shell_vectors_are_cached_read_only():
+    k = averaging._shell_vectors(2, 4, 0, 125)
+    assert averaging._shell_vectors(2, 4, 0, 125) is k
+    assert not k.flags.writeable
+    with pytest.raises(ValueError):
+        k[0, 0] = 0
+    # the cached rows are the uncached enumeration's
+    assert np.array_equal(k, averaging._shell_vectors.__wrapped__(2, 4, 0, 125))
+
+
+@pytest.mark.parametrize("l, bound", [(3, 3), (4, 2), (5, 2)])
+def test_resonance_verdicts_do_not_come_from_the_shell_cache(l, bound):
+    # back to back on the same shells: a spectrum with a relation, one
+    # without, and the first again; each verdict is the oracle's
+    rng = np.random.default_rng(l)
+    free = tuple(rng.uniform(0.0, 1.0, l))
+    planted = free[:-1] + (2 * free[0] - free[1],)
+    for lam in (planted, free, planted, free):
+        assert check_resonance_free(lam, bound) == _resonance_oracle(lam, bound)
+    assert not check_resonance_free(planted, bound).holds
+    assert check_resonance_free(free, bound).holds
 
 
 @pytest.mark.parametrize("lam, witness", [

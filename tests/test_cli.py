@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: parsing, config, outputs, exit codes."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -290,27 +289,65 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
 
 
-def _bench_workloads(monkeypatch):
-    """bench/workloads.py, loaded by path; nothing under bench/ is written."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(module)
-    return module
+# Child interpreter for the in-process contract: runs each argv list given
+# as JSON through cli.main with stdout redirected, writes the exit codes and
+# captured texts to the JSON file named second, then prints one sentinel.
+_INPROCESS_SENTINEL = "zerophase-inprocess-done"
+_INPROCESS_PROBE = f"""
+import contextlib, io, json, sys
+import zerophase.cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = zerophase.cli.main(argv)
+    runs.append([code, buf.getvalue()])
+with open(sys.argv[2], "w") as f:
+    json.dump(runs, f)
+print({_INPROCESS_SENTINEL!r})
+"""
 
 
-def test_bench_cli_outputs_match_reference(tmp_path, monkeypatch):
+def test_inprocess_cli_writes_only_to_the_redirected_stdout(tmp_path,
+                                                            bench_workloads):
+    """The README commands and the benchmark's, run through cli.main under
+    redirect_stdout, as the benchmark's traced run does: nothing reaches
+    fd 1 during a command, from a thread or at exit, and each captured text
+    is the command's stdout as a process."""
+    blocks = _readme_blocks()
+    files = {"ini": "sweep.cfg", "text": "positions.txt"}
+    for lang, text in blocks:
+        if lang in files:
+            (tmp_path / files[lang]).write_text(text)
+    commands = [shlex.split(line)[1:] for lang, text in blocks if lang == "sh"
+                for line in text.splitlines() if line.startswith("zerophase ")]
+    for argv in bench_workloads.README_COMMANDS.values():
+        if argv not in commands:
+            commands.append(argv)
+    proc = subprocess.run([sys.executable, "-c", _INPROCESS_PROBE,
+                           json.dumps(commands), "runs.json"],
+                          capture_output=True, text=True, check=True,
+                          cwd=tmp_path)
+    assert proc.stdout == _INPROCESS_SENTINEL + "\n"
+    runs = json.loads((tmp_path / "runs.json").read_text())
+    assert len(runs) == len(commands)
+    for argv, (code, text) in zip(commands, runs):
+        alone = subprocess.run([sys.executable, "-m", "zerophase.cli", *argv],
+                               capture_output=True, text=True, cwd=tmp_path)
+        assert (code, text) == (alone.returncode, alone.stdout), argv
+
+
+def test_bench_cli_outputs_match_reference(tmp_path, monkeypatch,
+                                           bench_workloads):
     # the benchmark's own comparison: exit codes, and numbers to 1e-9
-    workloads = _bench_workloads(monkeypatch)
-    reference = workloads.load_reference()["cli"]
+    reference = bench_workloads.load_reference()["cli"]
     monkeypatch.chdir(tmp_path)
-    for name, argv in workloads.README_COMMANDS.items():
+    for name, argv in bench_workloads.README_COMMANDS.items():
         ref = reference[name]
-        res = workloads.inprocess_cli(argv)
+        res = bench_workloads.inprocess_cli(argv)
         assert res.code == ref["code"], name
-        workloads.compare_output(ref["stdout"], res.stdout, ref["csv"])
+        bench_workloads.compare_output(ref["stdout"], res.stdout, ref["csv"])
 
 
 # Child interpreter for the scipy-loading checks: imports the package, runs

@@ -1,5 +1,6 @@
 """Class-basis ensemble evolution against the dense tuple oracle."""
 
+import itertools
 import math
 
 import hypothesis.extra.numpy as hnp
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerophase import ensemble
+from zerophase._numeric import log_factorial
 from zerophase.asymptotics import convergence_scan, limit_F, limit_w
 from zerophase.averaging import AveragingKernel, financial_average
 from zerophase.ensemble import (EnsembleState, class_project,
@@ -56,7 +58,7 @@ def _recursive_compositions(remaining: int, slots: int):
 
 
 @pytest.mark.parametrize("Ms,l", [(range(13), l) for l in range(1, 6)]
-                         + [((420,), 3)])
+                         + [((420,), 3), (range(9), 6)])
 def test_class_layout_equals_recursive_generator(Ms, l):
     for M in Ms:
         want = np.array(list(_recursive_compositions(M, l)),
@@ -64,6 +66,40 @@ def test_class_layout_equals_recursive_generator(Ms, l):
         occ, log_sizes = ensemble._class_layout(M, l)
         assert occ.dtype == want.dtype and np.array_equal(occ, want), (M, l)
         assert log_sizes.shape == (len(want),)
+
+
+def _stars_and_bars(M: int, l: int) -> tuple:
+    # the layout as it was built before: l - 1 bars among M + l - 1 slots,
+    # in the lexicographic order of itertools.combinations; the gaps
+    # between bars are the occupations
+    if l == 1:
+        occ = np.array([[M]], dtype=np.int64)
+    else:
+        slots = M + l - 1
+        bars = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(slots), l - 1)),
+            dtype=np.int64, count=math.comb(slots, l - 1) * (l - 1)).reshape(-1, l - 1)
+        edges = np.empty((bars.shape[0], l + 1), dtype=np.int64)
+        edges[:, 0], edges[:, 1:-1], edges[:, -1] = -1, bars, slots
+        occ = np.diff(edges, axis=1) - 1
+    lf = log_factorial(np.arange(M + 1))
+    return occ, lf[M] - lf[occ].sum(axis=1)
+
+
+@pytest.mark.parametrize("M,l", [(0, 1), (1, 1), (7, 1), (0, 4), (1, 6),
+                                 (419, 3), (423, 3), (60, 4)])
+def test_class_layout_equals_stars_and_bars(M, l):
+    want_occ, want_log_sizes = _stars_and_bars(M, l)
+    occ, log_sizes = ensemble._class_layout.__wrapped__(M, l)
+    assert occ.dtype == want_occ.dtype and np.array_equal(occ, want_occ)
+    assert np.array_equal(log_sizes.view(np.int64), want_log_sizes.view(np.int64))
+    # the cached layout is the same arrays, read-only
+    cached = ensemble._class_layout(M, l)
+    assert ensemble._class_layout(M, l) is cached
+    for got, want in zip(cached, (want_occ, want_log_sizes)):
+        assert not got.flags.writeable and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 0
 
 
 def test_product_state_norm_is_weight_sum_power():

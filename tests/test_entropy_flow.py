@@ -1,6 +1,7 @@
 """Entropy fields: envelopes, ascent trajectories, price transport."""
 
 import copy
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -22,7 +23,7 @@ from scipy.special import logsumexp
 from zerophase import entropy_flow
 from zerophase._numeric import check_real, linear_sampler
 from zerophase.entropy_flow import (_ENVELOPE_MIN_NODES, EntropyField, FlowConfig,
-                                    _axis_envelope, _gradient_arrays,
+                                    _axis_envelope, _gradient_arrays, _sampler,
                                     ascent_trajectory, calibrate_c,
                                     heat_semigroup_residual, hopf_lax,
                                     log_gaussian_smoothing, price_transport)
@@ -917,3 +918,37 @@ def test_field_copies_keep_read_only_values_and_their_own_cache():
         assert np.array_equal(got.points, want.points)
         assert (entropy_flow._sampler(dup, "clamped")
                 is not entropy_flow._sampler(field, "clamped"))
+
+
+# ---------------------------------------------------------------------------
+# price transport takes grad H from the walk's own rows
+
+
+def _resampled_transport(field, config, price_fields, x0):
+    """(ODE route, chain route) with grad H sampled again at the walk's
+    points in one vectorized call."""
+    traj = ascent_trajectory(field, config, x0)
+    pts = traj.points
+    grad_h = _sampler(field, config.boundary)(pts)[:, 1:]
+    prices = np.array([_sampler(pf, config.boundary)(pts)
+                       for pf in price_fields]
+                      ).reshape(len(price_fields), len(pts), 1 + field.ndim)
+    chain = prices[..., 0].T
+    c = np.array([float(config.c_of_H(h)) for h in traj.H_values[:-1]])
+    drift = np.sum(prices[:, :-1, 1:] * grad_h[:-1], axis=-1).T
+    ode = np.cumsum(np.vstack([chain[:1], config.dt * c[:, None] * drift]),
+                    axis=0)
+    return ode, chain
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+def test_transport_equals_the_resampled_form_on_the_bench_inputs(
+        bench_workloads, boundary):
+    for seed in range(10):
+        inputs = bench_workloads.entropy_inputs(seed)
+        config = dataclasses.replace(inputs["flow"], boundary=boundary)
+        args = (inputs["traj_field"], config, inputs["prices"], inputs["x0"])
+        got = price_transport(*args)
+        ode, chain = _resampled_transport(*args)
+        assert np.array_equal(got.ode_route, ode), seed
+        assert np.array_equal(got.chain_route, chain), seed

@@ -51,6 +51,101 @@ def test_logsumexp_equals_scipy(data, shape, axis):
     assert _same(logsumexp(a[0]), scipy_logsumexp(a[0]))
 
 
+def _counting_logsumexp(a, axis=None):
+    """The port as it was before argmax named the max terms: every tie of
+    the max counted and zeroed, on every row."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        i_max = a == a_max
+        m = np.count_nonzero(i_max, axis=axis, keepdims=True)
+        d = np.subtract(a, a_max)
+        np.exp(d, out=d)
+        np.copyto(d, 0.0, where=i_max)
+        s = np.sum(d, axis=axis, keepdims=True, dtype=float)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def _bits(x) -> np.ndarray:
+    # every NaN as the one quiet NaN; every other value as its bits
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+def _same_bits(a, axis=None) -> bool:
+    got = logsumexp(a, axis=axis)
+    return all(_same(got, want) and np.array_equal(_bits(got), _bits(want))
+               for want in (_counting_logsumexp(a, axis),
+                            scipy_logsumexp(a, axis=axis)))
+
+
+_LSE_ROWS = [
+    [1.5, 1.5, 0.3], [0.3, 1.5, -2.0, 1.5], [2.0] * 5, [-7.25] * 3,
+    [0.0, -0.0, -1.0], [-0.0, 0.0], [0.7, 0.1, 0.7, 0.7],  # ties of the max
+    [np.inf, 1.0], [np.inf, np.inf], [1.0, -np.inf], [np.inf, -np.inf],
+    [np.nan, 1.0], [2.0, np.nan], [np.nan, np.inf], [-np.inf, -np.inf],
+    [-np.inf], [800.0, 800.0], [-800.0, -801.0], [0.5, -3.0, 1e-300],
+]
+
+
+@pytest.mark.parametrize("row", _LSE_ROWS)
+def test_logsumexp_bits_on_ties_and_non_finite_rows(row):
+    assert _same_bits(np.array(row))
+    assert _same_bits(np.array([row, row[::-1]]), axis=-1)
+
+
+def test_logsumexp_bits_where_exp_rounds_to_one_without_a_tie():
+    for top in (0.1, -0.2, 0.0078125, 1e-300, -0.24):
+        below = np.nextafter(top, -np.inf)
+        row = np.array([below, top, np.nextafter(below, -np.inf), top - 0.5])
+        # the neighbours differ from the max, yet their terms round to 1
+        assert np.exp(row[0] - top) == 1.0 and row[0] != top
+        assert _same_bits(row)
+        assert _same_bits(np.stack([row, row[::-1], row + 4.0]), axis=-1)
+
+
+def test_logsumexp_bits_on_stacked_and_strided_arrays():
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-3.0, 3.0, (3, 4, 7))
+    a[0, 1, 2] = a[0, 1, 5] = a[0, 1].max() + 1.0  # a tie in one row
+    a[1, 2, :] = 0.25
+    a[2, 0, 3] = np.nan
+    a[2, 3, :] = -np.inf
+    for b in (a, a.transpose(1, 0, 2), a.transpose(2, 1, 0), a[:, ::-1, ::2]):
+        assert _same_bits(b, axis=-1)
+        assert _same_bits(b[:2, :3], axis=None)
+    t = rng.uniform(-1.0, 1.0, (6, 9))
+    t[2, 4] = t[5, 1] = t.max()
+    for b in (t, t.T, t[::2].T, np.asfortranarray(t)):
+        assert _same_bits(b)
+        assert _same_bits(b, axis=-1)
+
+
+@pytest.mark.parametrize("x", [0.0, -2.5, 700.0, np.inf, -np.inf, np.nan])
+def test_logsumexp_bits_on_one_element(x):
+    assert _same_bits(np.array([x]))
+    assert _same_bits(np.array(x))
+    assert _same_bits(np.float64(x))
+    assert _same_bits(np.array([[x]]), axis=-1)
+
+
+def test_logsumexp_empty_input_behaves_as_the_counting_form():
+    # no row to reduce: numpy's own error; no rows at all: an empty result
+    for a, axis in ((np.empty(0), None), (np.empty((3, 0)), -1),
+                    (np.empty((0, 5)), None)):
+        with pytest.raises(ValueError, match="zero-size array"):
+            logsumexp(a, axis=axis)
+    assert logsumexp(np.empty((0, 5)), axis=-1).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # brentq
 
