@@ -249,8 +249,9 @@ _ENVELOPE_MIN_NODES = 512
 _SCAN_BLOCK = 2 ** 16
 
 # A scan of at least _SPLIT_MIN_BLOCKS blocks splits them between the
-# calling thread and one worker thread, when the process may run on two
-# CPUs; numpy releases the GIL inside the block's ufuncs and reductions.
+# calling thread and a second thread started for that scan, when the
+# process may run on two CPUs; numpy releases the GIL inside the block's
+# ufuncs and reductions.
 # The 4001-node 1-d axes have 251 blocks and the 2-d heat residual's stacked
 # second axis 8.  A 61-node smoothing or envelope axis has 4 and stays
 # serial: split, it ran 12-28% slower when the host gave the second CPU no
@@ -269,73 +270,47 @@ def _available_cpus() -> int:
 _SCAN_THREADS = min(2, _available_cpus())
 
 
-class _Half:
-    """The worker's half of a split scan, run in the caller's context, so
-    that the caller's np.errstate holds in both halves."""
-
-    def __init__(self, fn: Callable, arg) -> None:
-        self.context = contextvars.copy_context()
-        self.fn, self.arg = fn, arg
-        self.done = threading.Event()
-        self.value = self.error = None
-
-    def __call__(self) -> None:
-        try:
-            self.value = self.context.run(self.fn, self.arg)
-        except BaseException as exc:  # the caller re-raises it
-            self.error = exc
-        finally:
-            self.done.set()
-
-
-# The one scan worker's job queue, made on first use.  The worker never
-# submits work of its own, so concurrent callers just queue.
-_worker_jobs = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    # a forked child has none of its parent's threads: it starts its own
-    # worker on first use
-    global _worker_jobs, _worker_lock
-    _worker_jobs, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get()()
-
-
-def _worker_queue():
-    global _worker_jobs
-    with _worker_lock:
-        if _worker_jobs is None:
-            import queue
-            _worker_jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_worker_jobs,), daemon=True,
-                             name="zerophase-scan").start()
-        return _worker_jobs
+# held while a scan thread is alive; see _split
+_split_lock = threading.Lock()
 
 
 def _split(scan: Callable, starts: range) -> list:
-    """scan of the first half of starts on this thread, the second half on
-    the worker, concatenated: scan(starts)."""
-    half = (len(starts) + 1) // 2
-    job = _Half(scan, starts[half:])
-    _worker_queue().put(job)
+    """scan(starts): the first half of starts on this thread, the second on
+    a thread started for this call, concatenated in block order.
+
+    The second half runs in the caller's context, so that the caller's
+    np.errstate holds in both halves, and the call returns only after both;
+    it re-raises the caller's error first, else the thread's.  The lock
+    bounds the scan threads at one: a call that finds it held scans all of
+    starts on its own thread, with the same bits, since every output row
+    is reduced on its own.  A child forked mid-split inherits the lock held
+    and no thread to release it, so its scans run serially and never wait.
+    """
+    if not _split_lock.acquire(blocking=False):
+        return scan(starts)
     try:
-        head = scan(starts[:half])
+        half = (len(starts) + 1) // 2
+        context = contextvars.copy_context()
+        tail, error = [], []
+
+        def scan_tail() -> None:
+            try:
+                tail.extend(context.run(scan, starts[half:]))
+            except BaseException as exc:  # the caller re-raises it
+                error.append(exc)
+
+        thread = threading.Thread(target=scan_tail, daemon=True,
+                                  name="zerophase-scan")
+        thread.start()
+        try:
+            head = scan(starts[:half])
+        finally:
+            thread.join()
     finally:
-        # the worker's half never outlives the call, not even one whose
-        # own half raised
-        job.done.wait()
-    if job.error is not None:
-        raise job.error
-    return head + job.value
+        _split_lock.release()
+    if error:
+        raise error[0]
+    return head + tail
 
 
 def _axis_scan(V: np.ndarray, x: np.ndarray, axis: int, reduce: Callable,

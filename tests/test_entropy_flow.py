@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -341,13 +340,38 @@ def test_two_threads_change_no_bit_of_the_bench_field(monkeypatch):
     assert runs[0][1] == runs[1][1]
 
 
+def _scan_threads_alive() -> int:
+    return [t.name for t in threading.enumerate()].count("zerophase-scan")
+
+
+def _record_thread_starts(monkeypatch) -> list:
+    """Record the name of every thread started from here on."""
+    names = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return names
+
+
 def test_one_scan_thread_starts_no_thread(monkeypatch):
     monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 1)
-    monkeypatch.setattr(entropy_flow, "_worker_jobs", None)
+    started = _record_thread_starts(monkeypatch)
     before = threading.active_count()
     log_gaussian_smoothing(_bench_field_1d(1), 0.1)
-    assert entropy_flow._worker_jobs is None
+    assert "zerophase-scan" not in started
     assert threading.active_count() == before
+
+
+def test_split_scan_leaves_no_thread_alive(monkeypatch):
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
+    started = _record_thread_starts(monkeypatch)
+    heat_semigroup_residual(_bench_field_1d(1), 0.1)
+    assert started == ["zerophase-scan"]
+    assert _scan_threads_alive() == 0
 
 
 def _run_python(code: str) -> None:
@@ -377,14 +401,27 @@ def test_one_cpu_starts_no_thread():
         "assert threading.active_count() == 1\n")
 
 
-def test_concurrent_callers_share_one_worker():
-    """Four callers race to start the worker and split their scans at
-    once, with the interpreter switching threads every 10 us: one worker
-    thread serves them all, and each gets the one-thread bits."""
+def test_concurrent_callers_run_at_most_one_scan_thread():
+    """Four callers split their scans at once, with the interpreter
+    switching threads every 10 us: at most one scan thread is alive at a
+    time, each caller gets the one-thread bits, and no thread is left."""
     _run_python("""
 import sys, threading
 import numpy as np
 from zerophase import entropy_flow as ef
+runs = {"live": 0, "peak": 0, "started": 0}
+count = threading.Lock()
+class Counted(threading.Thread):
+    def run(self):
+        with count:
+            runs["live"] += 1
+            runs["started"] += 1
+            runs["peak"] = max(runs["peak"], runs["live"])
+        try:
+            super().run()
+        finally:
+            with count:
+                runs["live"] -= 1
 ef._SCAN_THREADS = 1
 fields = [ef.EntropyField((-1.0,), (5e-4,),
                           np.random.default_rng(s).uniform(-1.0, 1.0, 4001))
@@ -396,6 +433,7 @@ got = [None] * 4
 def call(i):
     got[i] = ef.log_gaussian_smoothing(fields[i], 0.1).H
 callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+threading.Thread = Counted
 interval = sys.getswitchinterval()
 sys.setswitchinterval(1e-5)
 try:
@@ -407,38 +445,62 @@ finally:
     sys.setswitchinterval(interval)
 assert not any(t.is_alive() for t in callers)
 assert all(np.array_equal(g, w) for g, w in zip(got, want))
-assert [t.name for t in threading.enumerate()].count("zerophase-scan") == 1
-assert threading.active_count() == 2
+assert runs["started"] >= 1 and runs["peak"] == 1
+assert threading.active_count() == 1
 """)
 
 
-def _scan_in_child(field0: EntropyField, want: np.ndarray) -> None:
-    assert entropy_flow._worker_jobs is None
+def _scan_in_child(field0: EntropyField, want: np.ndarray, held: bool) -> None:
+    assert entropy_flow._split_lock.locked() == held
+    started = _record_thread_starts(pytest.MonkeyPatch())
     assert np.array_equal(log_gaussian_smoothing(field0, 0.1).H, want)
-    assert entropy_flow._worker_jobs is not None
+    # the smoothing is one scan of 251 blocks: it splits unless the lock
+    # came held
+    assert started == ([] if held else ["zerophase-scan"])
+    assert threading.active_count() == 1
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork on this platform")
-def test_forked_child_starts_its_own_worker(monkeypatch):
-    """A child forked after its parent split a scan has no worker thread;
-    its own split scan must start one, not wait on the parent's."""
-    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
-    field0 = _bench_field_1d(2)
-    want = log_gaussian_smoothing(field0, 0.1).H
-    assert entropy_flow._worker_jobs is not None
+def _fork_and_scan(field0: EntropyField, want: np.ndarray, held: bool) -> None:
+    """Smooth field0 in a forked child, which must get want within 60 s."""
     child = multiprocessing.get_context("fork").Process(
-        target=_scan_in_child, args=(field0, want))
-    with warnings.catch_warnings():
-        # newer Pythons warn that forking a process with threads is unsafe
-        warnings.simplefilter("ignore", DeprecationWarning)
-        child.start()
+        target=_scan_in_child, args=(field0, want, held))
+    child.start()
     child.join(60)
     if child.is_alive():
         child.kill()
         child.join()
         pytest.fail("the forked child hung in its split scan")
     assert child.exitcode == 0
+
+
+_needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork on this platform")
+
+
+@_needs_fork
+def test_forked_child_starts_its_own_worker(monkeypatch):
+    """A child forked after its parent split a scan inherits no scan
+    thread and a free lock, and splits its own scans."""
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
+    field0 = _bench_field_1d(2)
+    want = log_gaussian_smoothing(field0, 0.1).H
+    assert _scan_threads_alive() == 0
+    _fork_and_scan(field0, want, held=False)
+
+
+@_needs_fork
+def test_fork_while_the_split_lock_is_held_never_hangs(monkeypatch):
+    """A child forked mid-split inherits the lock held, and no thread to
+    release it: its scans run serially, with the same bits."""
+    monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
+    field0 = _bench_field_1d(3)
+    want = log_gaussian_smoothing(field0, 0.1).H
+    assert entropy_flow._split_lock.acquire(blocking=False)
+    try:
+        _fork_and_scan(field0, want, held=True)
+    finally:
+        entropy_flow._split_lock.release()
 
 
 def _two_halves(monkeypatch):
@@ -485,6 +547,17 @@ def test_split_scan_raises_the_first_error_after_both_halves(monkeypatch):
             assert finished == ["worker"] * 10
         else:
             assert finished.count("caller") == 10
+        assert _scan_threads_alive() == 0
+        # the lock is free again: the next scan splits
+        splits = _count_splits(monkeypatch)
+        threads = set()
+
+        def record_thread(v, sq):
+            threads.add(threading.get_ident())
+            return np.sum(v + sq, axis=-1)
+
+        entropy_flow._axis_scan(V, x, -1, record_thread, xi)
+        assert splits == [20] and len(threads) == 2
 
 
 _values = st.floats(-5.0, 5.0)
