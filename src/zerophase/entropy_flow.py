@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._numeric import (_EPS, check_count, check_real, envelope_argmin,
                        linear_sampler, logsumexp)
@@ -224,8 +225,11 @@ def _walk(field: EntropyField, config: FlowConfig,
 # The kernel (x-xi)^2/(2t) is a sum of per-axis terms, so every transform
 # below is a sequence of 1-d transforms, one per grid axis; over the whole
 # grid this is exact (Felzenszwalb & Huttenlocher, "Distance Transforms of
-# Sampled Functions", Theory of Computing 8, 2012).  The smoothing and the
-# heat residual scan every node pair of an axis.  The max and min envelopes
+# Sampled Functions", Theory of Computing 8, 2012).  On a uniform axis the
+# smoothing's kernel e^(-(x_i - x_j)^2/(2t)) depends only on i - j, so it is
+# a Toeplitz sum of e^(H - max H) in the linear domain, with the pairwise
+# log-domain scan kept for the nodes its range certificate leaves out.  The
+# heat residual scans every node pair of an axis.  The max and min envelopes
 # are lower envelopes of lines in x,
 #
 #     V_j -/+ (x - x_j)^2/(2t) = -/+ (x^2/(2t) + [x_j^2/(2t) -/+ V_j] - (x_j/t) x),
@@ -243,19 +247,21 @@ def _walk(field: EntropyField, config: FlowConfig,
 # no measured row gets slower.
 _ENVELOPE_MIN_NODES = 512
 
-# Terms per block of _axis_scan.  A 1-d smoothing block, its squared
-# distances and the one temporary logsumexp adds take 1.5 MB, and stay in
-# a core's 2 MB L2; the sweep that chose it is in BENCH_blocks.json.
+# Terms per block of _axis_scan.  A 1-d block of 2**16 terms, its squared
+# distances and one temporary of its size take 1.5 MB, and stay in a core's
+# 2 MB L2; the sweep that chose it (BENCH_blocks.json) was made on the
+# pairwise smoothing, which the heat residual's scan resembles.
 _SCAN_BLOCK = 2 ** 16
 
 # A scan of at least _SPLIT_MIN_BLOCKS blocks splits them between the
 # calling thread and a second thread started for that scan, when the
 # process may run on two CPUs; numpy releases the GIL inside the block's
 # ufuncs and reductions.
-# The 4001-node 1-d axes have 251 blocks and the 2-d heat residual's stacked
-# second axis 8.  A 61-node smoothing or envelope axis has 4 and stays
-# serial: split, it ran 12-28% slower when the host gave the second CPU no
-# throughput, for a gain of about 1 ms when it did (BENCH_threads.json).
+# The 4001-node 1-d heat residual has 251 blocks and the 2-d heat
+# residual's stacked second axis 8.  A 61-node envelope axis, or one of the
+# pairwise smoothing, has 4 and stays serial: split, it ran 12-28% slower
+# when the host gave the second CPU no throughput, for a gain of about 1 ms
+# when it did (BENCH_threads.json).
 _SPLIT_MIN_BLOCKS = 8
 
 
@@ -415,23 +421,100 @@ def hopf_lax(field0: EntropyField, t: float, mode: str = "max") -> EntropyField:
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
 
+# A node whose H is more than this far below max H is left to the pairwise
+# scan by log_gaussian_smoothing: e^-650 is about 5e-283, so up to it the
+# node's own term keeps its Toeplitz sum far above the 2.2e-308 below which
+# terms underflow.
+_SMOOTHING_RANGE = 650.0
+
+
+def _smoothing_reduce(t: float) -> Callable:
+    """The reduce of _axis_scan for the pairwise log-domain smoothing."""
+    return lambda v, sq: logsumexp(
+        np.subtract(v, np.divide(sq, 2.0 * t, out=sq)), axis=-1)
+
+
+# Nodes per block of _gaussian_sums.  np.einsum adds a block's terms in
+# order and np.sum adds the blocks, so the rounding of a sum grows with the
+# block and the block count, not with the axis: one block of 4001 nodes had
+# 4.1 times the error of blocks of about 256 (BENCH_toeplitz.json).
+_SUM_BLOCK = 256
+
+
+def _gaussian_sums(E: np.ndarray, spacing: tuple, t: float) -> np.ndarray:
+    """sum_j e^{-(x_i - x_j)^2/(2t)} E_j over every node j of the grid.
+
+    One axis at a time, as a Toeplitz sum: an axis of n nodes at spacing h
+    takes its kernel values at the exact differences m h, m = 1 - n, ...,
+    and splits the summed nodes into blocks of at most _SUM_BLOCK, E padded
+    with zeros.  The sums run in np.einsum and np.sum, whose summation
+    order, unlike that of BLAS, depends on neither the CPU nor the thread
+    count.
+    """
+    S = E
+    k = E.ndim
+    for d, h in enumerate(spacing):
+        n = S.shape[d]
+        blocks = -(-n // _SUM_BLOCK)
+        width = -(-n // blocks)
+        # a difference, its square or its ratio to 2t that overflows is an
+        # exact 0 of the kernel
+        with np.errstate(over="ignore"):
+            m = np.arange(1 - n, blocks * width) * h
+            kernel = np.exp(-(m * m) / (2.0 * t))
+        # toeplitz[i, b, c] is the kernel at (b width + c - i) h
+        toeplitz = sliding_window_view(kernel, blocks * width)[::-1].reshape(
+            n, blocks, width)
+        pad = [(0, 0)] * k
+        pad[d] = (0, blocks * width - n)
+        S = np.pad(S, pad).reshape(S.shape[:d] + (blocks, width) + S.shape[d + 1:])
+        # axis d is split into the labels k + 1 (block) and d (node in block);
+        # label k is the output node
+        before, after = list(range(d)), list(range(d + 1, k))
+        S = np.einsum(toeplitz, [k, k + 1, d], S, before + [k + 1, d] + after,
+                      before + [k, k + 1] + after).sum(axis=d + 1)
+    return S
+
+
 def log_gaussian_smoothing(field0: EntropyField, t: float) -> EntropyField:
     """Smoothed envelope ln[t^{-k/2} sum_xi e^{-(x-xi)^2/(2t)} e^{H0} h^k].
 
     k is the field dimension.  The soft counterpart of the max envelope;
-    adding a constant to H0 adds the same constant here, exactly.
+    adding a constant to H0 adds the same constant here, up to rounding.
+
+    The sum is taken in the linear domain, as ln S + max H0, where S sums
+    the kernel times e^{H0 - max H0} one axis at a time (_gaussian_sums).
+    Range certificate: S_i carries the node's own term e^{H0_i - max H0},
+    so at a node no more than _SMOOTHING_RANGE below max H0 it is at least
+    about 5e-283, and the terms that underflow (each below 2.2e-308) move
+    it by nothing.  A node further below goes through the pairwise
+    log-domain scan of _axis_scan, with the scan's bits: in 1-d that node
+    alone, in 2-d the whole field.
     """
     check_real(t, "t", "positive")
     k = field0.ndim
     log_hk = float(np.sum(np.log(field0.spacing)))
-
-    def reduce(v, sq):
-        return logsumexp(np.subtract(v, np.divide(sq, 2.0 * t, out=sq)),
-                         axis=-1)
-
-    H = field0.H
-    for d, x in enumerate(field0.axes()):
-        H = _axis_scan(H, x, d - k, reduce)
+    H0 = field0.H
+    top = float(np.max(H0))
+    # a field spanning more than the float range goes -inf here, and its
+    # lowest nodes to the scan
+    with np.errstate(over="ignore"):
+        below = H0 - top
+    uncertified = below < -_SMOOTHING_RANGE
+    reduce = _smoothing_reduce(t)
+    if k > 1 and uncertified.any():
+        H = H0
+        for d, x in enumerate(field0.axes()):
+            H = _axis_scan(H, x, d - k, reduce)
+    else:
+        S = _gaussian_sums(np.exp(below), field0.spacing, t)
+        # the scan below replaces these nodes, whose sums may be 0
+        S[uncertified] = 1.0
+        H = np.log(S)
+        H += top
+        if uncertified.any():
+            x = field0.axes()[0]
+            H[uncertified] = _axis_scan(H0, x, -1, reduce, x[uncertified])
     H += log_hk - 0.5 * k * math.log(t)
     return EntropyField(origin=field0.origin, spacing=field0.spacing, H=H)
 
@@ -442,7 +525,11 @@ def heat_semigroup_residual(field0: EntropyField, t: float) -> float:
     u_t is evaluated analytically (the quadrature kernel solves the heat
     equation exactly), so the returned number is pure second-order stencil
     error of the discrete Laplacian: halving the spacing divides it by
-    about 4.
+    about 4.  The stencil multiplies the rounding of u by 4/h^2, so the
+    relative rounding of the result grows as h^-4: on sin 2x - 0.3 x^2
+    over [-1, 1] at t = 0.2, against the same sums in long double, it is
+    1e-8 at 201 nodes and 2.8e-3 at 4001, where the halving law reads
+    noise.
     """
     check_real(t, "t", "positive")
     k = field0.ndim

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -244,6 +246,85 @@ def _oracle(field0: EntropyField, t: float) -> dict:
     return out
 
 
+_LD = np.longdouble
+_EPS = np.finfo(float).eps
+
+
+def _along(mats: list, V: np.ndarray) -> np.ndarray:
+    """V with mats[d] (output node, node) applied along each axis d."""
+    for d, M in enumerate(mats):
+        V = np.moveaxis(np.tensordot(M, V, axes=(1, d)), 0, d)
+    return V
+
+
+def _smoothing_oracle(field0: EntropyField, t: float) -> tuple:
+    """The smoothing in long double, and a bound on the float route's error.
+
+    The oracle sums every node pair in long double (a 64-bit mantissa on
+    x86), on the exact uniform grid: the kernel depends on the nodes only through
+    their differences, which are (i - j) spacing there.  (Differences of
+    nodes origin + spacing k rounded to long double would add up to
+    2^-64 |x| / spacing relative error to them.)  The Gaussian factors
+    over the axes, so the sums are taken one axis at a time, which is the
+    same sum in exact arithmetic.
+
+    The bound, per output node i, in units of eps, with u = eps/2, from
+    first-order rounding of each step of log_gaussian_smoothing; w_j are
+    the terms of node i's sum S_i and <.> their w-weighted mean:
+      - d_j = H_j - max H rounds by u |d_j|, exp by at most 2 eps, so
+        E_j = e^{d_j} is off by <|d|>/2 + 2 eps relative;
+      - per axis, the kernel at q = (m h)^2/(2t) rounds its argument by
+        2 eps q and exp by 2 eps, and the product with the sum so far by
+        u: 2 <q> + 2.5 for the k axes together (q summed over the axes);
+      - per axis, a sum of nonnegative terms in blocks of `width` nodes,
+        `blocks` of them, is off by at most (width + blocks - 2) u;
+      - ln S rounds by 2 eps |ln S|, adding max H by u |ln S + max H|,
+        the constant ln h^k - (k/2) ln t carries 3 eps (sum |ln h| +
+        (k/2) |ln t|), and adding it rounds by u |out|;
+      - 1 more for the oracle's own rounding.
+    The relative errors of S are weighted means of those of its positive
+    terms, so they add up to first order, and each is an absolute error
+    of ln S.
+    """
+    k = field0.ndim
+    H = field0.H
+    top = float(np.max(H))
+    d = H.astype(_LD) - _LD(top)
+    E = np.exp(d)
+    tt = _LD(t)
+    kernels, moments = [], []
+    for n, h in zip(field0.shape, field0.spacing):
+        diff = np.subtract.outer(np.arange(n), np.arange(n)).astype(_LD) * _LD(h)
+        q = diff * diff / (2 * tt)
+        kernels.append(np.exp(-q))
+        moments.append(np.exp(-q) * q)
+    S = _along(kernels, E)
+    mean_d = _along(kernels, E * np.abs(d)) / S
+    mean_q = sum(_along(kernels[:a] + [moments[a]] + kernels[a + 1:], E)
+                 for a in range(k)) / S
+    log_h = [math.log(h) for h in field0.spacing]
+    lnS = np.log(S)
+    smooth = lnS + _LD(top) + (sum(np.log(_LD(h)) for h in field0.spacing)
+                               - _LD(0.5 * k) * np.log(tt))
+    sums = 0.0
+    for n in field0.shape:
+        blocks = -(-n // entropy_flow._SUM_BLOCK)
+        sums += (-(-n // blocks) + blocks - 2) / 2
+    bound = (mean_d / 2 + 2 + 2 * mean_q + 2.5 * k + sums + 2 * np.abs(lnS)
+             + np.abs(lnS + _LD(top)) / 2 + 3 * (sum(map(abs, log_h))
+                                                 + 0.5 * k * abs(math.log(t)))
+             + np.abs(smooth) / 2 + 1)
+    return smooth, (_EPS * bound).astype(float)
+
+
+def _assert_smoothing_within_bound(got: np.ndarray, field0: EntropyField,
+                                   t: float) -> None:
+    want, bound = _smoothing_oracle(field0, t)
+    err = np.abs(got.astype(_LD) - want).astype(float)
+    worst = np.unravel_index(np.argmax(err - bound), err.shape)
+    assert np.all(err <= bound), (worst, err[worst], bound[worst])
+
+
 def _transforms(field0: EntropyField, t: float) -> dict:
     return {"max": hopf_lax(field0, t, "max").H,
             "min": hopf_lax(field0, t, "min").H,
@@ -252,6 +333,11 @@ def _transforms(field0: EntropyField, t: float) -> dict:
 
 
 def test_multi_chunk_scan_equals_pairwise_oracle():
+    """The envelopes and the heat residual equal the float pairwise oracle
+    bit for bit; the smoothing is within the bound of _smoothing_oracle of
+    the long-double oracle: eps times <|d|>/2 + 2 <q> + 2 + 2.5 k + the
+    block sums' (width + blocks - 2)/2 per axis + 2 |ln S| + |ln S +
+    max H|/2 + 3 (sum |ln h| + (k/2) |ln t|) + |out|/2 + 1."""
     # 2100 nodes: the scan splits its output nodes into blocks of
     # _SCAN_BLOCK // 2100 rows, the last of them shorter (at 2**16, 67
     # blocks of 31 rows and one of 23)
@@ -261,9 +347,10 @@ def test_multi_chunk_scan_equals_pairwise_oracle():
     field0 = EntropyField((-1.0,), (1e-3,), H)
     want = _oracle(field0, 0.1)
     got = _transforms(field0, 0.1)
-    for key in ("max", "min", "smooth"):
+    for key in ("max", "min"):
         assert np.array_equal(got[key], want[key]), key
     assert got["heat"] == want["heat"]
+    _assert_smoothing_within_bound(got["smooth"], field0, 0.1)
 
 
 def _count_splits(monkeypatch) -> list:
@@ -289,12 +376,16 @@ _SPLIT_AXES = {(1000,): (1000, 1000), (150, 120): (2 * 150 * 120, 120)}
 def test_scans_do_not_depend_on_the_block_size(monkeypatch, shape):
     """The smallest blocks (two output rows), one block for a whole axis,
     and blocks that split the axis below in an odd and an even count, on
-    one thread and on two, give the bits of the default blocks on one
-    thread, which split every axis here."""
+    one thread and on two, give the envelope and heat-residual bits of the
+    default blocks on one thread, which split every axis here.  The
+    smoothing, which scans no blocks, stays within the bound of
+    _smoothing_oracle of the long-double oracle (see
+    test_multi_chunk_scan_equals_pairwise_oracle)."""
     H = np.random.default_rng(11).uniform(-5.0, 5.0, shape)
     field0 = EntropyField((-0.4,) * H.ndim, (0.03,) * H.ndim, H)
     monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 1)
     want = _transforms(field0, 0.05)
+    _assert_smoothing_within_bound(want["smooth"], field0, 0.05)
     terms, nodes = _SPLIT_AXES[shape]
     blocks = [1, 10 ** 9]
     for count in (9, 10):
@@ -307,9 +398,10 @@ def test_scans_do_not_depend_on_the_block_size(monkeypatch, shape):
         for block in blocks:
             monkeypatch.setattr(entropy_flow, "_SCAN_BLOCK", block)
             got = _transforms(field0, 0.05)
-            for key in ("max", "min", "smooth"):
+            for key in ("max", "min"):
                 assert np.array_equal(got[key], want[key]), (threads, block, key)
             assert got["heat"] == want["heat"], (threads, block)
+            _assert_smoothing_within_bound(got["smooth"], field0, 0.05)
         if threads == 1:
             assert splits == []
         else:
@@ -332,12 +424,10 @@ def test_two_threads_change_no_bit_of_the_bench_field(monkeypatch):
     for threads in (1, 2):
         monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", threads)
         splits = _count_splits(monkeypatch)
-        runs.append((log_gaussian_smoothing(field0, 0.1).H,
-                     heat_semigroup_residual(field0, 0.1)))
+        runs.append(heat_semigroup_residual(field0, 0.1))
         # 251 blocks of 16 output rows each
-        assert splits == ([] if threads == 1 else [251, 251])
-    assert np.array_equal(runs[0][0], runs[1][0])
-    assert runs[0][1] == runs[1][1]
+        assert splits == ([] if threads == 1 else [251])
+    assert runs[0] == runs[1]
 
 
 def _scan_threads_alive() -> int:
@@ -361,7 +451,7 @@ def test_one_scan_thread_starts_no_thread(monkeypatch):
     monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 1)
     started = _record_thread_starts(monkeypatch)
     before = threading.active_count()
-    log_gaussian_smoothing(_bench_field_1d(1), 0.1)
+    heat_semigroup_residual(_bench_field_1d(1), 0.1)
     assert "zerophase-scan" not in started
     assert threading.active_count() == before
 
@@ -397,7 +487,7 @@ def test_one_cpu_starts_no_thread():
         "from zerophase import entropy_flow as ef\n"
         "assert ef._SCAN_THREADS == 1\n"
         "f = ef.EntropyField((-1.0,), (5e-4,), np.linspace(0.0, 1.0, 4001))\n"
-        "ef.log_gaussian_smoothing(f, 0.1)\n"
+        "ef.heat_semigroup_residual(f, 0.1)\n"
         "assert threading.active_count() == 1\n")
 
 
@@ -426,12 +516,12 @@ ef._SCAN_THREADS = 1
 fields = [ef.EntropyField((-1.0,), (5e-4,),
                           np.random.default_rng(s).uniform(-1.0, 1.0, 4001))
           for s in range(4)]
-want = [ef.log_gaussian_smoothing(f, 0.1).H for f in fields]
+want = [ef.heat_semigroup_residual(f, 0.1) for f in fields]
 assert threading.active_count() == 1
 ef._SCAN_THREADS = 2
 got = [None] * 4
 def call(i):
-    got[i] = ef.log_gaussian_smoothing(fields[i], 0.1).H
+    got[i] = ef.heat_semigroup_residual(fields[i], 0.1)
 callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
 threading.Thread = Counted
 interval = sys.getswitchinterval()
@@ -444,24 +534,25 @@ try:
 finally:
     sys.setswitchinterval(interval)
 assert not any(t.is_alive() for t in callers)
-assert all(np.array_equal(g, w) for g, w in zip(got, want))
+assert got == want
 assert runs["started"] >= 1 and runs["peak"] == 1
 assert threading.active_count() == 1
 """)
 
 
-def _scan_in_child(field0: EntropyField, want: np.ndarray, held: bool) -> None:
+def _scan_in_child(field0: EntropyField, want: float, held: bool) -> None:
     assert entropy_flow._split_lock.locked() == held
     started = _record_thread_starts(pytest.MonkeyPatch())
-    assert np.array_equal(log_gaussian_smoothing(field0, 0.1).H, want)
-    # the smoothing is one scan of 251 blocks: it splits unless the lock
-    # came held
+    assert heat_semigroup_residual(field0, 0.1) == want
+    # the 1-d heat residual is one scan of 251 blocks: it splits unless the
+    # lock came held
     assert started == ([] if held else ["zerophase-scan"])
     assert threading.active_count() == 1
 
 
-def _fork_and_scan(field0: EntropyField, want: np.ndarray, held: bool) -> None:
-    """Smooth field0 in a forked child, which must get want within 60 s."""
+def _fork_and_scan(field0: EntropyField, want: float, held: bool) -> None:
+    """The heat residual of field0 in a forked child, which must get want
+    within 60 s."""
     child = multiprocessing.get_context("fork").Process(
         target=_scan_in_child, args=(field0, want, held))
     child.start()
@@ -484,7 +575,7 @@ def test_forked_child_starts_its_own_worker(monkeypatch):
     thread and a free lock, and splits its own scans."""
     monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
     field0 = _bench_field_1d(2)
-    want = log_gaussian_smoothing(field0, 0.1).H
+    want = heat_semigroup_residual(field0, 0.1)
     assert _scan_threads_alive() == 0
     _fork_and_scan(field0, want, held=False)
 
@@ -495,7 +586,7 @@ def test_fork_while_the_split_lock_is_held_never_hangs(monkeypatch):
     release it: its scans run serially, with the same bits."""
     monkeypatch.setattr(entropy_flow, "_SCAN_THREADS", 2)
     field0 = _bench_field_1d(3)
-    want = log_gaussian_smoothing(field0, 0.1).H
+    want = heat_semigroup_residual(field0, 0.1)
     assert entropy_flow._split_lock.acquire(blocking=False)
     try:
         _fork_and_scan(field0, want, held=True)
@@ -569,13 +660,18 @@ _origins = st.floats(-3.0, 3.0)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(3, 300), t=_times)
 def test_per_axis_scans_equal_pairwise_oracle_1d(data, n, t):
+    """The envelopes and the heat residual equal the float pairwise oracle
+    bit for bit; the smoothing is within the bound of _smoothing_oracle of
+    the long-double oracle (see
+    test_multi_chunk_scan_equals_pairwise_oracle)."""
     H = data.draw(hnp.arrays(float, n, elements=_values))
     field0 = EntropyField((data.draw(_origins),), (data.draw(_spacings),), H)
     want = _oracle(field0, t)
     got = _transforms(field0, t)
-    for key in ("max", "min", "smooth"):
+    for key in ("max", "min"):
         assert np.array_equal(got[key], want[key]), key
     assert got["heat"] == want["heat"]
+    _assert_smoothing_within_bound(got["smooth"], field0, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -593,6 +689,102 @@ def test_per_axis_scans_match_pairwise_oracle_2d(data, shape, t):
                                    err_msg=key)
     np.testing.assert_allclose(got["heat"], want["heat"], rtol=1e-9,
                                atol=want["heat_noise"])
+
+
+def _pairwise_smoothing(field0: EntropyField, t: float) -> np.ndarray:
+    """The smoothing by the pairwise log-domain scan of every axis."""
+    reduce = entropy_flow._smoothing_reduce(t)
+    H = field0.H
+    for d, x in enumerate(field0.axes()):
+        H = entropy_flow._axis_scan(H, x, d - field0.ndim, reduce)
+    return H + (float(np.sum(np.log(field0.spacing)))
+                - 0.5 * field0.ndim * math.log(t))
+
+
+def _range_fields() -> list:
+    # fields spanning 900 below their top, at a t so small that the linear-
+    # domain sums of the deepest nodes underflow to 0
+    line = EntropyField((0.0,), (0.01,), np.linspace(0.0, -900.0, 301))
+    plane = EntropyField.from_function(lambda x, y: -450.0 * (x + y),
+                                       (0.0, 0.0), (0.05, 0.05), (21, 21))
+    return [line, plane]
+
+
+@pytest.mark.parametrize("field0", _range_fields(), ids=["1d", "2d"])
+def test_smoothing_leaves_the_nodes_out_of_range_to_the_scan(field0):
+    """Nodes more than _SMOOTHING_RANGE below max H get the pairwise scan's
+    bits: in 1-d those nodes alone, and the others stay within the bound of
+    the long-double oracle; in 2-d the whole field.  Every output is
+    finite, and no warning is raised, though the Toeplitz sums of the
+    deepest nodes are 0."""
+    t = 1e-4
+    H = field0.H
+    below = H - np.max(H) < -entropy_flow._SMOOTHING_RANGE
+    assert below.any() and not below.all()
+    sums = entropy_flow._gaussian_sums(np.exp(H - np.max(H)), field0.spacing, t)
+    assert np.any(sums[below] == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_gaussian_smoothing(field0, t).H
+        scan = _pairwise_smoothing(field0, t)
+    assert np.all(np.isfinite(got))
+    if field0.ndim == 1:
+        assert np.array_equal(got[below], scan[below])
+        want, bound = _smoothing_oracle(field0, t)
+        err = np.abs(got.astype(_LD) - want).astype(float)
+        assert np.all(err[~below] <= bound[~below])
+    else:
+        assert np.array_equal(got, scan)
+
+
+@pytest.mark.parametrize("n, h", [(3, 8e307), (257, 7e305)])
+def test_smoothing_takes_overflowing_differences_as_zero_kernel(n, h):
+    """Node differences whose square overflows (3 nodes), or that overflow
+    themselves in the zero-padded last block (257 nodes, 257 h past the
+    float range), give the kernel an exact 0 and raise no warning."""
+    field0 = EntropyField((-(n // 2) * h,), (h,), np.zeros(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_gaussian_smoothing(field0, 1.0).H
+    # every node keeps its own term alone
+    np.testing.assert_allclose(got, math.log(h), rtol=1e-15)
+
+
+# numpy's major.minor version, and the SIMD targets it dispatched to, when
+# the digests below were taken: np.exp and np.log have one implementation
+# per target, each with its own roundings
+_FROZEN_UNDER = ("2.4", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+_FROZEN_HEAT = {"1d": 5.35447815641632e-07, "2d": 0.00217559167949144}
+_FROZEN_SMOOTHING_SHA256 = {
+    "1d": "ee619a3642b2249b38371acf9b80f97b93a031251257eba2c04b9cda9f5ec5ee",
+    "2d": "1e3c5ef4db9eb122dde9279eb14bb9dcef1245954a2055eec2890e332b12d476"}
+
+
+def _numpy_build() -> tuple:
+    version = ".".join(np.__version__.split(".")[:2])
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:
+        return version, None
+    return version, tuple(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
+
+def test_seed0_bench_bits_are_frozen(bench_workloads):
+    """On the benchmark's seed-0 fields at t = 0.1 the heat residuals keep
+    the floats of the pairwise scans, and the smoothing the bytes of its
+    Toeplitz sums; the sums take no BLAS, so neither the CPU's BLAS kernel
+    nor the thread count moves them."""
+    if _numpy_build() != _FROZEN_UNDER:
+        pytest.skip(f"digests taken under numpy {_FROZEN_UNDER[0]} with SIMD "
+                    f"targets {_FROZEN_UNDER[1]}, here {_numpy_build()}")
+    fields = bench_workloads.entropy_inputs(0)["fields"]
+    t = bench_workloads.ENVELOPE_T
+    for dim, field0 in fields.items():
+        assert heat_semigroup_residual(field0, t) == _FROZEN_HEAT[dim]
+        H = log_gaussian_smoothing(field0, t).H
+        assert hashlib.sha256(H.tobytes()).hexdigest() == \
+            _FROZEN_SMOOTHING_SHA256[dim], dim
 
 
 # the envelope path: long axes, and the per-axis primitive at any size
@@ -656,9 +848,6 @@ def test_far_origin_leaves_every_node_to_the_scan(monkeypatch):
         for mode in ("max", "min"):
             assert np.array_equal(hopf_lax(field0, 0.1, mode).H, want[mode])
     assert scanned == [n, n]
-
-
-_EPS = np.finfo(float).eps
 
 
 @settings(max_examples=100, deadline=None)
